@@ -8,7 +8,7 @@ closed-form algebraic criteria, whether it is connected (C1F), uniform
 (U1F), uniform-connected (UC1F) or Hamilton-Berge (HB1F).
 """
 
-from .field import FiniteField, field
+from .field import FiniteField
 from .projline import Mobius, affine_map, base_map, identity_map, infinity, orbit_map
 from .factorisation import (
     Factorisation,
@@ -20,7 +20,6 @@ from .factorisation import (
 
 __all__ = [
     "FiniteField",
-    "field",
     "Mobius",
     "affine_map",
     "base_map",

@@ -2,7 +2,8 @@
 
 Subcommands: construct, check {c1f|u1f|uc1f|hb1f}, overlap, subgroup,
 scan-trace, suite.  Exit codes: 0 clean, 1 computed/predicted discrepancy,
-2 indeterminate outcome, 3 usage error.  JSON output is deterministic for
+2 indeterminate outcome, 3 usage or i/o error, 4 internal error (a fault in
+the program, not in its input).  JSON output is deterministic for
 identical inputs and seeds; points appear as integer indices in JSON (the
 index q is infinity) and as "inf" in text.
 """
@@ -14,15 +15,9 @@ import json
 import os
 import sys
 
-from .factorisation import (
-    BadResidueError,
-    build_factorisation,
-    dump_factorisation,
-    load_factorisation,
-)
-from .field import field
+from .factorisation import build_factorisation, dump_factorisation
+from .field import UsageError
 from .groups import (
-    CapExceededError,
     a4_pair_census,
     char2_a4_a5_presence,
     classify_subgroup,
@@ -33,8 +28,6 @@ from .groups import (
 from .hypergraph import pair_overlap, pair_overlap_algebraic
 from .projline import base_map, orbit_map, point_str
 from .verifier import (
-    NotPrimePowerError,
-    SuiteConfig,
     TheoremVerdict,
     char2_uniformity_scan,
     check_c1f,
@@ -48,6 +41,7 @@ from .verifier import (
 )
 
 USAGE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,8 +85,16 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _workers(default: int) -> int:
+    text = os.environ.get("TRIFACTOR_WORKERS", str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"TRIFACTOR_WORKERS={text!r} is not an integer") from None
+
+
 def cmd_check(args) -> int:
-    workers = int(os.environ.get("TRIFACTOR_WORKERS", "1"))
+    workers = _workers(1)
     fact = build_factorisation(field_for(args.q))
     if args.prop == "c1f":
         verdict = check_c1f(fact, mode=args.mode or "reduced")
@@ -229,7 +231,7 @@ def cmd_suite(args) -> int:
             cfg = parse_config(fh.read())
     else:
         cfg = default_config()
-    cfg.workers = int(os.environ.get("TRIFACTOR_WORKERS", str(cfg.workers)))
+    cfg.workers = _workers(cfg.workers)
     cfg.include_timings = args.timings
     report = run_suite(cfg)
     text = report.to_json() if args.format == "json" else report.to_text()
@@ -300,12 +302,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BadResidueError, NotPrimePowerError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"trifactor: error: {exc}\n")
         return USAGE_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"trifactor: i/o error: {exc}\n")
         return USAGE_ERROR
+    except Exception as exc:  # the outermost boundary: report, never crash
+        sys.stderr.write(f"trifactor: internal error: {type(exc).__name__}: {exc}\n")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

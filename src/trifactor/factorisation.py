@@ -1,10 +1,14 @@
 """One-factors and the full 1-factorisation of K^3_{q+1}.
 
 A one-factor with label (a, b) is the orbit partition of orbit_map(a, b):
-triples {x, m(x), m^-1(x)} covering every point exactly once.  Ranging over
-all labels (a in F*, b in F) and deduplicating by edge set yields a
-1-factorisation with q(q-1)/2 distinct factors; each factor is produced by
-exactly two labels.
+triples {x, m(x), m^-1(x)} covering every point exactly once.  Since
+orbit_map(a, b) = g o base o g^-1 with g the affine map x -> a x + b, that
+partition is the base factor (the orbits of base_map) moved by g, infinity
+fixed.  So the base factor's orbits are computed once and every other factor
+is its affine image.  Labels (a, b) and (-a, a + b) give the same factor;
+ranging over all labels (a in F*, b in F) and keeping the first of each
+twin pair in enumeration order yields q(q-1)/2 distinct factors.
+verify_partition checks independently that they partition all triples.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Iterable, TextIO
 
-from .field import FiniteField, field
-from .projline import AlphaZeroError, orbit_map
+from .field import FiniteField, InvariantError, UsageError, field
+from .projline import AlphaZeroError, base_map
 
 Edge = tuple[int, int, int]
 
 
-class BadResidueError(ValueError):
+class BadResidueError(UsageError):
     """q is not congruent to 2 mod 3, so orbits need not be triples."""
 
 
@@ -32,23 +36,20 @@ def require_residue(q: int) -> None:
 class OneFactor:
     """A perfect matching of the q+1 points by triples, with its label."""
 
-    __slots__ = ("label", "edges", "_pairs")
+    __slots__ = ("label", "edges")
 
     def __init__(self, label: tuple[int, int], edges: tuple[Edge, ...]):
         self.label = label
         self.edges = edges
-        self._pairs = None
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
         """All vertex pairs covered by some edge (q+1 of them)."""
-        if self._pairs is None:
-            pairs = []
-            for x, y, z in self.edges:
-                pairs.append((x, y))
-                pairs.append((x, z))
-                pairs.append((y, z))
-            self._pairs = frozenset(pairs)
-        return self._pairs
+        pairs = []
+        for x, y, z in self.edges:
+            pairs.append((x, y))
+            pairs.append((x, z))
+            pairs.append((y, z))
+        return frozenset(pairs)
 
     def __eq__(self, other):
         return isinstance(other, OneFactor) and self.edges == other.edges
@@ -68,20 +69,37 @@ def _orbit_edges(perm: list[int], n: int) -> tuple[Edge, ...]:
             continue
         y = perm[x]
         z = perm[y]
-        assert perm[z] == x and x != y and y != z and x != z
+        if perm[z] != x or x == y:
+            raise InvariantError(f"point {x} does not lie on a 3-cycle")
         seen[x] = seen[y] = seen[z] = 1
         a, b, c = sorted((x, y, z))
         edges.append((a, b, c))
     return tuple(edges)
 
 
+def _base_edges(ctx: FiniteField) -> tuple[Edge, ...]:
+    require_residue(ctx.q)
+    return _orbit_edges(base_map(ctx).permutation(), ctx.q + 1)
+
+
+def _affine_image(ctx: FiniteField, edges: tuple[Edge, ...],
+                  scaled: list[int], b: int) -> tuple[Edge, ...]:
+    """edges under x -> a x + b, given scaled[x] = a x; infinity is fixed."""
+    img = [ctx.add(ax, b) for ax in scaled]
+    img.append(ctx.q)
+    return tuple(sorted(tuple(sorted((img[x], img[y], img[z])))
+                        for x, y, z in edges))
+
+
+def _scaled(ctx: FiniteField, a: int) -> list[int]:
+    return [ctx.mul(a, x) for x in range(ctx.q)]
+
+
 def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
-    """Orbit partition of orbit_map(a, b); every orbit is a triple."""
+    """Orbit partition of orbit_map(a, b), as the affine image of the base."""
     if a == 0:
         raise AlphaZeroError("label scale must be nonzero")
-    require_residue(ctx.q)
-    perm = orbit_map(ctx, a, b).permutation()
-    return OneFactor((a, b), _orbit_edges(perm, ctx.q + 1))
+    return OneFactor((a, b), _affine_image(ctx, _base_edges(ctx), _scaled(ctx, a), b))
 
 
 class Factorisation:
@@ -115,27 +133,26 @@ class Factorisation:
 
 
 def build_factorisation(ctx: FiniteField) -> Factorisation:
-    """Build every labelled factor and deduplicate by edge-set equality.
+    """Every distinct factor, in label enumeration order (a, then b).
 
-    The duplicate-label identity (each factor arises from exactly two
-    labels) is discovered here, not assumed; the canonical label of a
-    factor is the first one met in enumeration order.
+    Label (a, b) shares its factor with its twin (-a, a + b); it points at
+    the twin's factor when the twin came first, and otherwise builds a new
+    factor as the affine image of the base factor under x -> a x + b.  The
+    canonical label of a factor is thus the first one met in enumeration
+    order.
     """
-    require_residue(ctx.q)
+    base = _base_edges(ctx)
     q = ctx.q
-    n = q + 1
     factors: list[OneFactor] = []
     label_map: dict[tuple[int, int], int] = {}
-    by_edges: dict[tuple[Edge, ...], int] = {}
     for a in range(1, q):
+        neg_a = ctx.neg(a)
+        scaled = _scaled(ctx, a)
         for b in range(q):
-            perm = orbit_map(ctx, a, b).permutation()
-            edges = _orbit_edges(perm, n)
-            idx = by_edges.get(edges)
+            idx = label_map.get((neg_a, ctx.add(a, b)))
             if idx is None:
                 idx = len(factors)
-                by_edges[edges] = idx
-                factors.append(OneFactor((a, b), edges))
+                factors.append(OneFactor((a, b), _affine_image(ctx, base, scaled, b)))
             label_map[(a, b)] = idx
     return Factorisation(ctx, factors, label_map)
 
@@ -221,14 +238,14 @@ def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
         lines = [ln.rstrip("\n") for ln in source]
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
-        raise ValueError("empty dump")
+        raise UsageError("empty dump")
     header = dict(part.split("=", 1) for part in lines[0].split())
     q = int(header["q"])
     ctx = field(int(header["p"]), int(header["l"]))
     if ctx.q != q:
-        raise ValueError(f"header q={q} does not match p^l={ctx.q}")
+        raise UsageError(f"header q={q} does not match p^l={ctx.q}")
     if header["modulus"] != ",".join(str(c) for c in ctx.modulus):
-        raise ValueError("modulus in dump does not match the canonical modulus")
+        raise UsageError("modulus in dump does not match the canonical modulus")
 
     factors: list[OneFactor] = []
     label_map: dict[tuple[int, int], int] = {}
@@ -253,7 +270,7 @@ def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
                 sorted(q if tok == "inf" else int(tok) for tok in ln.split())
             )
             if len(vals) != 3:
-                raise ValueError(f"bad edge line: {ln!r}")
+                raise UsageError(f"bad edge line: {ln!r}")
             edges.append(vals)  # type: ignore[arg-type]
     flush()
     return Factorisation(ctx, factors, label_map)

@@ -23,19 +23,31 @@ TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 512
 
 
-class NotPrimeError(ValueError):
+class UsageError(ValueError):
+    """Input from the caller is malformed or outside what is supported."""
+
+
+class InvariantError(RuntimeError):
+    """A computed result broke a property the construction guarantees.
+
+    An internal fault, never bad input; raised in place of assert so that
+    the check also runs under python -O.
+    """
+
+
+class NotPrimeError(UsageError):
     """Characteristic is not a prime number."""
 
 
-class DegreeError(ValueError):
+class DegreeError(UsageError):
     """Extension degree is not a positive integer."""
 
 
-class TooLargeError(ValueError):
+class TooLargeError(UsageError):
     """Field order exceeds the construction cap."""
 
 
-class AllZeroCoefficientsError(ValueError):
+class AllZeroCoefficientsError(UsageError):
     """Quadratic solver called with a = b = c = 0."""
 
 
@@ -198,7 +210,8 @@ class FiniteField:
             exp[i + q - 1] = v
             log[v] = i
             v = self._raw_mul(v, g)
-        assert v == 1
+        if v != 1:
+            raise InvariantError(f"generator {g} does not have order {q - 1}")
         self._exp = exp
         self._log = log
         if self.p != 2:
@@ -297,7 +310,8 @@ class FiniteField:
         for _ in range(self.l - 1):
             y = self.frobenius(y)
             s = self.add(s, y)
-        assert s < self.p, "trace left the prime subfield"
+        if s >= self.p:
+            raise InvariantError(f"trace of {a} left the prime subfield")
         return s
 
     def is_square(self, a: int) -> bool:
@@ -423,11 +437,11 @@ class FiniteField:
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
         if len(cs) > self.l:
-            raise ValueError(f"too many coefficients for degree {self.l}")
+            raise UsageError(f"too many coefficients for degree {self.l}")
         out = 0
         for i, ci in enumerate(cs):
             if not 0 <= ci < self.p:
-                raise ValueError(f"coefficient {ci} out of range [0, {self.p})")
+                raise UsageError(f"coefficient {ci} out of range [0, {self.p})")
             out += ci * self._powers[i]
         return out
 
@@ -435,7 +449,11 @@ class FiniteField:
         return ",".join(str(ci) for ci in self.coeffs(a))
 
     def parse_element(self, text: str) -> int:
-        return self.from_coeffs(int(part) for part in text.split(","))
+        try:
+            cs = [int(part) for part in text.split(",")]
+        except ValueError:
+            raise UsageError(f"bad field element {text!r}") from None
+        return self.from_coeffs(cs)
 
     def describe(self) -> dict:
         return {"p": self.p, "l": self.l, "modulus": list(self.modulus)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .factorisation import Factorisation
-from .field import FiniteField, is_prime
+from .field import FiniteField, UsageError, is_prime
 from .projline import Mobius, identity_map, orbit_map
 
 
@@ -22,11 +22,11 @@ class CapExceededError(RuntimeError):
     """Exact closure grew beyond the caller's cap."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(UsageError):
     """Argument outside the supported range."""
 
 
-class WrongCharacteristicError(ValueError):
+class WrongCharacteristicError(UsageError):
     """Operation requires characteristic 2."""
 
 

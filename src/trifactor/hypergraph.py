@@ -4,7 +4,10 @@ A union of 2 or 3 one-factors is a small 3-uniform hypergraph (every vertex
 has degree = number of factors).  This module decides connectivity, counts
 the pair overlap of two factors both combinatorially and via the
 closed-form case analysis of the defining maps, searches for isomorphisms
-between unions, and searches for Hamilton Berge cycles.
+between unions, and searches for Hamilton Berge cycles.  A union of k
+factors on n vertices has k n / 3 edges, so a Berge cycle, which needs n
+distinct edges, exists only in a 3-factor union and uses all of its edges;
+the one Berge search handles exactly that case.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .field import FiniteField
+from .field import FiniteField, InvariantError, UsageError
 from .factorisation import Edge, OneFactor
 from .projline import base_map
 
@@ -25,7 +28,7 @@ class SameFactorError(ValueError):
     """Pair overlap requires two distinct factors."""
 
 
-class IsBaseFactorError(ValueError):
+class IsBaseFactorError(UsageError):
     """The label denotes the base factor itself."""
 
 
@@ -60,14 +63,13 @@ class _UnionFind:
 
 
 class UnionHypergraph:
-    """Edges of 2-3 one-factors with incidence lists and source tags."""
+    """Edges of 2-3 one-factors with incidence lists."""
 
-    __slots__ = ("n", "edges", "tags", "incidence")
+    __slots__ = ("n", "edges", "incidence")
 
-    def __init__(self, n: int, edges: list[Edge], tags: list[int]):
+    def __init__(self, n: int, edges: list[Edge]):
         self.n = n
         self.edges = edges
-        self.tags = tags
         incidence: list[list[int]] = [[] for _ in range(n)]
         for i, e in enumerate(edges):
             for v in e:
@@ -87,11 +89,9 @@ def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
             if factors[i].edges == factors[j].edges:
                 raise DuplicateFactorError("factors must be distinct")
     edges: list[Edge] = []
-    tags: list[int] = []
-    for t, f in enumerate(factors):
+    for f in factors:
         edges.extend(f.edges)
-        tags.extend([t] * len(f.edges))
-    return UnionHypergraph(n, edges, tags)
+    return UnionHypergraph(n, edges)
 
 
 def is_connected(h: UnionHypergraph) -> bool:
@@ -194,7 +194,8 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
     f_inv = f.inverse()
     pairs = [tuple(sorted((x, f(x)))) for x in direct]
     pairs += [tuple(sorted((x, f_inv(x)))) for x in inverse]
-    assert len(set(pairs)) == len(pairs)
+    if len(set(pairs)) != len(pairs):
+        raise InvariantError(f"label ({a}, {b}): a repeated pair is counted twice")
     return OverlapResult(
         len(direct) + len(inverse),
         sorted(set(pairs)),
@@ -442,96 +443,22 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
 def find_hamilton_berge_cycle(
     h: UnionHypergraph, time_budget: float = 10.0
 ) -> BergeSearchResult:
-    """Depth-first search for a Berge cycle through every vertex.
+    """Search for a Berge cycle through every vertex.
 
-    The cycle needs n distinct vertices and n distinct edges.  A 3-factor
-    union has exactly n edges, which routes to the left-out-bijection
-    search; hypergraphs with spare edges fall back to a path-extension
-    search from vertex 0 (rotation invariance makes the fixed start free).
-    Both searches are deterministic; a timeout is reported as its own
-    outcome, distinct from an exhausted search.
+    The cycle needs n distinct vertices and n distinct edges, so fewer than
+    n edges means there is none.  A 3-factor union has exactly n edges,
+    which the left-out-bijection search covers; more edges than vertices
+    never arise from unions of factors and are rejected.  The search is
+    deterministic; a timeout is reported as its own outcome, distinct from
+    an exhausted search.
     """
     n = h.n
     m = len(h.edges)
+    if m > n:
+        raise ValueError(f"{m} edges on {n} vertices: the search needs m <= n")
     if m < n:
         return BergeSearchResult("none")
-    if m == n:
-        return _cycle_by_leftout(h, time.monotonic() + time_budget)
-    edges = h.edges
-    incidence = h.incidence
-    unused_cnt = [len(inc) for inc in incidence]
-    # unvisited vertices per edge; an unused edge with none left is dead as
-    # long as the walk is not about to close (future consecutive pairs and
-    # the closing pair each involve a currently unvisited vertex)
-    edge_unvis = [3 - (0 in e) for e in edges]
-    used = [False] * m
-    visited = [False] * n
-    visited[0] = True
-    path = [0]
-    edge_seq: list[int] = []
-    deadline = time.monotonic() + time_budget
-    ticks = 0
-    timed_out = False
-
-    def dfs(v: int, depth: int) -> bool:
-        nonlocal ticks, timed_out
-        ticks += 1
-        if ticks & 0xFFF == 0 and time.monotonic() > deadline:
-            timed_out = True
-            return False
-        if depth == n:
-            for ei in incidence[v]:
-                if not used[ei] and 0 in edges[ei]:
-                    edge_seq.append(ei)
-                    return True
-            return False
-        # most-constrained next vertex first; ties broken by edge then vertex
-        # index, so the search stays deterministic
-        children = sorted(
-            (unused_cnt[w], ei, w)
-            for ei in incidence[v]
-            if not used[ei]
-            for w in edges[ei]
-            if not visited[w]
-        )
-        for _, ei, w in children:
-            e = edges[ei]
-            used[ei] = True
-            ok = True
-            for x in e:
-                unused_cnt[x] -= 1
-                if x != w and not visited[x] and unused_cnt[x] < 2:
-                    ok = False
-            if unused_cnt[w] < 1 or (depth + 1 < n and unused_cnt[0] < 1):
-                ok = False
-            visited[w] = True
-            if ok and depth + 1 < n and m == n:
-                for ej in incidence[w]:
-                    edge_unvis[ej] -= 1
-                    if edge_unvis[ej] == 0 and not used[ej]:
-                        ok = False
-            else:
-                for ej in incidence[w]:
-                    edge_unvis[ej] -= 1
-            path.append(w)
-            edge_seq.append(ei)
-            if ok and dfs(w, depth + 1):
-                return True
-            edge_seq.pop()
-            path.pop()
-            for ej in incidence[w]:
-                edge_unvis[ej] += 1
-            visited[w] = False
-            for x in e:
-                unused_cnt[x] += 1
-            used[ei] = False
-            if timed_out:
-                return False
-        return False
-
-    if dfs(0, 1):
-        return BergeSearchResult("found", path[:], edge_seq[:])
-    return BergeSearchResult("timeout" if timed_out else "none")
+    return _cycle_by_leftout(h, time.monotonic() + time_budget)
 
 
 def validate_berge_cycle(h: UnionHypergraph, result: BergeSearchResult) -> bool:

@@ -11,10 +11,10 @@ multiples compare and hash as the same map.
 
 from __future__ import annotations
 
-from .field import FiniteField
+from .field import FiniteField, InvariantError, UsageError
 
 
-class AlphaZeroError(ValueError):
+class AlphaZeroError(UsageError):
     """Affine scale coefficient must be nonzero."""
 
 
@@ -143,7 +143,8 @@ def orbit_map(ctx: FiniteField, a: int, b: int) -> Mobius:
     s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))
     m = Mobius(ctx, ctx.neg(b), s, ctx.neg(1), ctx.add(a, b))
     g = affine_map(ctx, a, b)
-    assert m == g.compose(base_map(ctx)).compose(g.inverse())
+    if m != g.compose(base_map(ctx)).compose(g.inverse()):
+        raise InvariantError(f"orbit map {m!r} is not the conjugate of the base map")
     return m
 
 
@@ -166,8 +167,10 @@ def standardize_pair(
     b0 = ctx.mul(inv_a1, ctx.sub(b2, b1))
     g = affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1)))
     g_inv = g.inverse()
-    assert g.compose(orbit_map(ctx, a1, b1)).compose(g_inv) == base_map(ctx)
-    assert g.compose(orbit_map(ctx, a2, b2)).compose(g_inv) == orbit_map(ctx, a0, b0)
+    if (g.compose(orbit_map(ctx, a1, b1)).compose(g_inv) != base_map(ctx)
+            or g.compose(orbit_map(ctx, a2, b2)).compose(g_inv)
+            != orbit_map(ctx, a0, b0)):
+        raise InvariantError(f"conjugation by {g!r} does not standardise the pair")
     return a0, b0
 
 

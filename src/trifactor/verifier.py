@@ -26,7 +26,7 @@ from .factorisation import (
     build_one_factor,
     verify_partition,
 )
-from .field import FiniteField, field, is_prime
+from .field import FiniteField, InvariantError, UsageError, field, is_prime
 from .hypergraph import (
     components,
     find_hamilton_berge_cycle,
@@ -40,23 +40,23 @@ from .hypergraph import (
 SUPPORTED_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
 
 
-class NotPrimePowerError(ValueError):
+class NotPrimePowerError(UsageError):
     """q is not a prime power."""
 
 
-class EvenDegreeError(ValueError):
+class EvenDegreeError(UsageError):
     """The scan requires an odd extension degree."""
 
 
-class WrongFieldError(ValueError):
+class WrongFieldError(UsageError):
     """Operation requires an odd-degree extension of GF(5)."""
 
 
-class AlphaInSubfieldError(ValueError):
+class AlphaInSubfieldError(UsageError):
     """The element must lie outside the prime subfield."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(UsageError):
     """Scan degree outside the supported range."""
 
 
@@ -161,7 +161,7 @@ def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
     elif mode == "full":
         pairs = itertools.combinations(range(nf), 2)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
     t0 = time.monotonic()
     witness = None
     connected_all = True
@@ -309,13 +309,16 @@ def check_hb1f(
         triples = [(0, i, j) for i, j in itertools.combinations(range(1, nf), 2)]
     elif mode == "sampled":
         if samples is None or seed is None:
-            raise ValueError("sampled mode needs samples and seed")
+            raise UsageError("sampled mode needs samples and seed")
+        if samples < 1 or nf < 3:
+            raise UsageError(f"sampled mode needs samples >= 1 and at least 3 "
+                             f"factors, got {samples} and {nf}")
         rng = random.Random(seed)
         triples = [
             tuple(sorted(rng.sample(range(nf), 3))) for _ in range(samples)
         ]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
 
     if workers > 1 and len(triples) > 1000:
         chunk_size = 250
@@ -404,7 +407,8 @@ def char2_uniformity_scan(l: int) -> dict:
         if ctx.trace(ctx.add(x, ctx.inv(x))) == 1:
             trace1_count += 1
     bound = (1 << (l - 1)) + (1 << (l - 2))
-    assert trace1_count <= bound
+    if trace1_count > bound:
+        raise InvariantError(f"{trace1_count} roots exceed the degree bound {bound}")
     return {
         "l": l,
         "witnesses_eq4": witnesses,
@@ -492,45 +496,55 @@ class SuiteConfig:
 
 
 def parse_config(text: str) -> SuiteConfig:
-    """Parse the key = value suite configuration format."""
+    """Parse the key = value suite configuration format.
+
+    A line that does not parse raises UsageError naming the line.
+    """
     cfg = SuiteConfig()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "qs":
-            cfg.qs = tuple(int(v) for v in value.split())
-        elif key == "c1f_full_max_q":
-            cfg.c1f_full_max_q = int(value)
-        elif key == "hb1f_full_qs":
-            cfg.hb1f_full_qs = tuple(int(v) for v in value.split())
-        elif key == "hb1f_reduced_qs":
-            cfg.hb1f_reduced_qs = tuple(int(v) for v in value.split())
-        elif key == "hb1f_sampled":
-            entries = []
-            for part in value.split():
-                q, n, seed = part.split(":")
-                entries.append((int(q), int(n), int(seed)))
-            cfg.hb1f_sampled = tuple(entries)
-        elif key == "trace_scans":
-            cfg.trace_scan_degrees = tuple(int(v) for v in value.split())
-        elif key == "time_budget":
-            cfg.time_budget = float(value)
-        elif key == "workers":
-            cfg.workers = int(value)
-        elif key.startswith("expect_"):
-            _, prop, q = key.split("_")
-            if value not in ("true", "false"):
-                raise ValueError(f"bad expectation value: {raw!r}")
-            cfg.expectations[(prop, int(q))] = value == "true"
-        else:
-            raise ValueError(f"unknown config key: {key!r}")
+        try:
+            _set_config_line(cfg, line)
+        except ValueError as exc:
+            raise UsageError(f"bad config line {raw!r}: {exc}") from None
     return cfg
+
+
+def _set_config_line(cfg: SuiteConfig, line: str) -> None:
+    if "=" not in line:
+        raise ValueError("expected key = value")
+    key, _, value = line.partition("=")
+    key = key.strip()
+    value = value.strip()
+    if key == "qs":
+        cfg.qs = tuple(int(v) for v in value.split())
+    elif key == "c1f_full_max_q":
+        cfg.c1f_full_max_q = int(value)
+    elif key == "hb1f_full_qs":
+        cfg.hb1f_full_qs = tuple(int(v) for v in value.split())
+    elif key == "hb1f_reduced_qs":
+        cfg.hb1f_reduced_qs = tuple(int(v) for v in value.split())
+    elif key == "hb1f_sampled":
+        entries = []
+        for part in value.split():
+            q, n, seed = part.split(":")
+            entries.append((int(q), int(n), int(seed)))
+        cfg.hb1f_sampled = tuple(entries)
+    elif key == "trace_scans":
+        cfg.trace_scan_degrees = tuple(int(v) for v in value.split())
+    elif key == "time_budget":
+        cfg.time_budget = float(value)
+    elif key == "workers":
+        cfg.workers = int(value)
+    elif key.startswith("expect_"):
+        _, prop, q = key.split("_")
+        if value not in ("true", "false"):
+            raise ValueError(f"bad expectation value {value!r}")
+        cfg.expectations[(prop, int(q))] = value == "true"
+    else:
+        raise ValueError(f"unknown config key {key!r}")
 
 
 def default_config() -> SuiteConfig:

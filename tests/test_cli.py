@@ -148,7 +148,7 @@ def test_suite_byte_identical_reports(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_usage_errors_exit_3(capsys):
+def test_usage_errors_exit_3(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "notaproperty", "--q", "5"])
     assert exc.value.code == 3
@@ -161,3 +161,31 @@ def test_usage_errors_exit_3(capsys):
     # broken config file
     code, _, _ = run_cli(capsys, "suite", "--config", "/nonexistent/path.cfg")
     assert code == 3
+    # malformed values: a field element and a config value that are not ints
+    code, _, _ = run_cli(capsys, "overlap", "--q", "11", "--alpha", "x")
+    assert code == 3
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("qs = five\n")
+    code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 3
+    assert "qs = five" in err
+    cfg.write_bytes(b"qs = \xff\n")
+    assert run_cli(capsys, "suite", "--config", str(cfg))[0] == 3
+    # sampling needs a positive count and at least three factors to draw from
+    for q, samples in (("8", "0"), ("2", "3")):
+        code, _, _ = run_cli(capsys, "check", "hb1f", "--q", q, "--mode",
+                             "sampled", "--samples", samples, "--seed", "1")
+        assert code == 3
+
+
+def test_internal_fault_exits_4(monkeypatch, capsys):
+    import trifactor.cli
+
+    def broken(ctx):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(trifactor.cli, "build_factorisation", broken)
+    code, out, err = run_cli(capsys, "construct", "--q", "5")
+    assert code == 4
+    assert out == ""
+    assert err == "trifactor: internal error: ValueError: matrix is singular\n"

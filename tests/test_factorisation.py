@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trifactor
 from trifactor.factorisation import (
     BadResidueError,
     build_factorisation,
@@ -12,7 +17,8 @@ from trifactor.factorisation import (
     verify_partition,
 )
 from trifactor.field import field
-from trifactor.projline import AlphaZeroError
+from trifactor.projline import AlphaZeroError, orbit_map
+from trifactor.verifier import field_for
 
 
 def test_base_factor_q2():
@@ -85,6 +91,48 @@ def test_canonical_labels_are_first_in_enumeration_order():
             if idx == len(seen):
                 seen.append((a, b))
                 assert fact.factors[idx].label == (a, b)
+
+
+def _reference_factorisation(ctx):
+    """Orbits of orbit_map(a, b) for every label, deduplicated by edge set."""
+    n = ctx.q + 1
+    edge_lists, labels, label_map, by_edges = [], [], {}, {}
+    for a in range(1, ctx.q):
+        for b in range(ctx.q):
+            perm = orbit_map(ctx, a, b).permutation()
+            edges = tuple(sorted({tuple(sorted((x, perm[x], perm[perm[x]])))
+                                  for x in range(n)}))
+            if edges not in by_edges:
+                by_edges[edges] = len(edge_lists)
+                edge_lists.append(edges)
+                labels.append((a, b))
+            label_map[(a, b)] = by_edges[edges]
+    return edge_lists, labels, label_map
+
+
+@pytest.mark.parametrize("q", [2, 5, 8, 11, 17, 29, 32, 125])
+def test_affine_images_match_orbit_construction(q):
+    ctx = field_for(q)
+    fact = build_factorisation(ctx)
+    edge_lists, labels, label_map = _reference_factorisation(ctx)
+    assert [f.edges for f in fact.factors] == edge_lists
+    assert [f.label for f in fact.factors] == labels
+    assert fact.label_map == label_map
+    for a, b in [(1, 0), labels[-1], (ctx.q - 1, ctx.q - 1)]:
+        assert build_one_factor(ctx, a, b).edges == edge_lists[label_map[(a, b)]]
+
+
+def test_orbit_check_survives_python_O():
+    # a transposition is not a 3-cycle; the check must not vanish under -O
+    src = Path(trifactor.__file__).resolve().parents[1]
+    code = "from trifactor.factorisation import _orbit_edges\n_orbit_edges([1, 0, 2], 3)"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "InvariantError" in proc.stderr
 
 
 def test_verify_partition_counts():

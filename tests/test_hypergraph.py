@@ -53,9 +53,9 @@ def test_connectivity_small_cases():
     for i, j in itertools.combinations(range(len(F.factors)), 2):
         h = union_hypergraph(12, [F.factors[i], F.factors[j]])
         assert is_connected(h)
-    single_edge = UnionHypergraph(3, [(0, 1, 2)], [0])
+    single_edge = UnionHypergraph(3, [(0, 1, 2)])
     assert is_connected(single_edge)
-    edgeless = UnionHypergraph(4, [], [])
+    edgeless = UnionHypergraph(4, [])
     assert not is_connected(edgeless)
     assert components(edgeless) == [[0], [1], [2], [3]]
 
@@ -184,7 +184,7 @@ def test_isomorphism_identity_and_size_mismatch():
     m = find_isomorphism(h, h)
     assert m is not None
     assert apply_isomorphism(h, m) == set(h.edges)
-    other = UnionHypergraph(5, [(0, 1, 2)], [0])
+    other = UnionHypergraph(5, [(0, 1, 2)])
     with pytest.raises(SizeMismatchError):
         find_isomorphism(h, other)
 
@@ -235,12 +235,20 @@ def test_berge_cycle_deterministic():
 
 
 def test_berge_edgeless_and_pair_unions_have_no_cycle():
-    edgeless = UnionHypergraph(4, [], [])
+    edgeless = UnionHypergraph(4, [])
     assert find_hamilton_berge_cycle(edgeless).status == "none"
     F = build_factorisation(field(5))
     h = union_hypergraph(6, [F.factors[0], F.factors[1]])
     # 4 edges < 6 vertices: impossible by counting
     assert find_hamilton_berge_cycle(h).status == "none"
+
+
+def test_berge_rejects_more_edges_than_vertices():
+    # unions of 2 or 3 factors never have spare edges; the search has no
+    # path for them
+    h = UnionHypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2)])
+    with pytest.raises(ValueError):
+        find_hamilton_berge_cycle(h)
 
 
 def test_berge_disconnected_gf125_triple():
