@@ -36,48 +36,25 @@ class SizeMismatchError(ValueError):
     """Isomorphism requires equal vertex counts."""
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size", "components")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        self.components -= 1
-
-
 class UnionHypergraph:
-    """Edges of 2-3 one-factors with incidence lists."""
+    """Edges of 2-3 one-factors on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "incidence")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: list[Edge]):
         self.n = n
         self.edges = edges
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        for i, e in enumerate(edges):
+
+    def incidence(self) -> list[list[int]]:
+        """Indices of the edges at each vertex, in edge order."""
+        incidence: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
             for v in e:
                 incidence[v].append(i)
-        self.incidence = incidence
+        return incidence
 
     def degree_sequence(self) -> list[int]:
-        return sorted(len(inc) for inc in self.incidence)
+        return sorted(len(inc) for inc in self.incidence())
 
 
 def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
@@ -94,23 +71,41 @@ def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
     return UnionHypergraph(n, edges)
 
 
-def is_connected(h: UnionHypergraph) -> bool:
-    uf = _UnionFind(h.n)
+def _merge_edges(h: UnionHypergraph) -> tuple[list[int], int]:
+    """Union-find parents after merging each edge's vertices, and the
+    number of components."""
+    parent = list(range(h.n))
+    count = h.n
     for a, b, c in h.edges:
-        uf.union(a, b)
-        uf.union(a, c)
-    return uf.components == 1
+        # find each root, halving the path on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        if b != a:
+            parent[b] = a
+            count -= 1
+        if c != a and c != b:
+            parent[c] = a
+            count -= 1
+    return parent, count
+
+
+def is_connected(h: UnionHypergraph) -> bool:
+    return _merge_edges(h)[1] == 1
 
 
 def components(h: UnionHypergraph) -> list[list[int]]:
     """Vertex components, each sorted, ordered by smallest member."""
-    uf = _UnionFind(h.n)
-    for a, b, c in h.edges:
-        uf.union(a, b)
-        uf.union(a, c)
+    parent = _merge_edges(h)[0]
     groups: dict[int, list[int]] = {}
     for v in range(h.n):
-        groups.setdefault(uf.find(v), []).append(v)
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(v)
     return sorted(groups.values())
 
 
@@ -226,8 +221,9 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
         raise SizeMismatchError(f"vertex counts differ: {h1.n} != {h2.n}")
     if len(h1.edges) != len(h2.edges):
         return None
-    deg1 = [len(inc) for inc in h1.incidence]
-    deg2 = [len(inc) for inc in h2.incidence]
+    inc1 = h1.incidence()
+    deg1 = [len(inc) for inc in inc1]
+    deg2 = [len(inc) for inc in h2.incidence()]
     if sorted(deg1) != sorted(deg2):
         return None
     if sorted(len(c) for c in components(h1)) != sorted(
@@ -258,7 +254,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for ei in h1.incidence[v]:
+            for ei in inc1[v]:
                 for w in h1.edges[ei]:
                     if not placed[w]:
                         placed[w] = True
@@ -282,7 +278,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
             if c1 != c2:
                 return False
         # any fully-mapped edge must land on an edge of h2 with same multiplicity
-        for ei in h1.incidence[v]:
+        for ei in inc1[v]:
             e = h1.edges[ei]
             if all(mapping[x] >= 0 or x == v for x in e):
                 img = tuple(sorted(w if x == v else mapping[x] for x in e))
@@ -324,12 +320,14 @@ class BergeSearchResult:
 
     status is "found", "none" or "timeout"; a timeout is not a
     counterexample.  On success vertices[i] and vertices[i+1] both lie in
-    edges[i], with the last edge closing back to vertices[0].
+    edges[i], with the last edge closing back to vertices[0].  nodes counts
+    the search nodes visited, a deterministic measure of the work done.
     """
 
     status: str
     vertices: list[int] = dc_field(default_factory=list)
     edge_indices: list[int] = dc_field(default_factory=list)
+    nodes: int = 0
 
     @property
     def found(self) -> bool:
@@ -353,7 +351,9 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
     edges = h.edges
     m = len(edges)
 
-    assigned = [False] * m
+    # each edge's left-out choices (u, s, t): u left out, s-t hosted
+    options = [((a, b, c), (b, a, c), (c, a, b)) for a, b, c in edges]
+    free = list(range(m))  # unassigned edges, in index order
     vertex_out = [False] * n
     cover = [0] * n
     # endpoint pairing of the disjoint paths in the pair graph; end[v] is
@@ -362,20 +362,6 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
     pair_of: list[tuple[int, int] | None] = [None] * m
     ticks = 0
     timed_out = False
-
-    def choices(ei: int, last: bool) -> list[tuple[int, int, int]]:
-        out = []
-        e = edges[ei]
-        for u in e:
-            if vertex_out[u]:
-                continue
-            s, t = (x for x in e if x != u)
-            if cover[s] > 1 or cover[t] > 1:
-                continue
-            if end[s] == t and not last:
-                continue  # would close a short cycle
-            out.append((u, s, t))
-        return out
 
     def dfs(done: int) -> bool:
         nonlocal ticks, timed_out
@@ -386,40 +372,51 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
         if done == m:
             return True
         last = done == m - 1
-        best_ei = -1
-        best: list[tuple[int, int, int]] = []
-        for ei in range(m):
-            if assigned[ei]:
-                continue
-            cand = choices(ei, last)
-            if not cand:
+        # branch on the edge with the fewest valid choices, the lowest index
+        # on ties; a choice is invalid if its vertex is already left out, a
+        # hosted vertex is covered twice, or it would close a short cycle
+        best_pos = -1
+        best_count = 4
+        for pos, ei in enumerate(free):
+            count = 0
+            for u, s, t in options[ei]:
+                if not (vertex_out[u] or cover[s] > 1 or cover[t] > 1
+                        or (end[s] == t and not last)):
+                    count += 1
+            if not count:
                 return False
-            if best_ei < 0 or len(cand) < len(best):
-                best_ei, best = ei, cand
-                if len(cand) == 1:
+            if count < best_count:
+                best_pos, best_count = pos, count
+                if count == 1:
                     break
-        assigned[best_ei] = True
+        ei = free.pop(best_pos)
+        best = [
+            (u, s, t)
+            for u, s, t in options[ei]
+            if not (vertex_out[u] or cover[s] > 1 or cover[t] > 1
+                    or (end[s] == t and not last))
+        ]
         for u, s, t in best:
             es, et = end[s], end[t]
             vertex_out[u] = True
             cover[s] += 1
             cover[t] += 1
             end[es], end[et] = et, es
-            pair_of[best_ei] = (s, t)
+            pair_of[ei] = (s, t)
             if dfs(done + 1):
                 return True
-            pair_of[best_ei] = None
+            pair_of[ei] = None
             end[es], end[et] = s, t
             cover[s] -= 1
             cover[t] -= 1
             vertex_out[u] = False
             if timed_out:
                 break
-        assigned[best_ei] = False
+        free.insert(best_pos, ei)
         return False
 
     if not dfs(0):
-        return BergeSearchResult("timeout" if timed_out else "none")
+        return BergeSearchResult("timeout" if timed_out else "none", nodes=ticks)
 
     # walk the cycle from vertex 0 to emit the witness
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -437,7 +434,7 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
         if len(vertices) < n:
             vertices.append(nxt)
         v, prev_edge = nxt, ei
-    return BergeSearchResult("found", vertices, edge_seq)
+    return BergeSearchResult("found", vertices, edge_seq, ticks)
 
 
 def find_hamilton_berge_cycle(

@@ -297,7 +297,9 @@ def check_hb1f(
     disconnected triple is a definite counterexample and is flagged as
     such.  A search timeout makes the verdict indeterminate rather than
     false.  Sampled mode draws `samples` random triples from the given
-    seed; reduced mode fixes the first factor to the base factor.
+    seed and searches each distinct one once (stats: tasks = samples,
+    distinct_tasks, and timeouts among the distinct triples); reduced mode
+    fixes the first factor to the base factor.
     """
     ctx = fact.ctx
     q = ctx.q
@@ -314,9 +316,9 @@ def check_hb1f(
             raise UsageError(f"sampled mode needs samples >= 1 and at least 3 "
                              f"factors, got {samples} and {nf}")
         rng = random.Random(seed)
-        triples = [
-            tuple(sorted(rng.sample(range(nf), 3))) for _ in range(samples)
-        ]
+        drawn = [tuple(sorted(rng.sample(range(nf), 3))) for _ in range(samples)]
+        # draws repeat; search each distinct triple once, in first-draw order
+        triples = list(dict.fromkeys(drawn))
     else:
         raise UsageError(f"unknown mode {mode!r}")
 
@@ -355,11 +357,12 @@ def check_hb1f(
         computed = None
     stats = {
         "mode": mode,
-        "tasks": len(triples),
+        "tasks": samples if mode == "sampled" else len(triples),
         "timeouts": timeouts,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
     if mode == "sampled":
+        stats["distinct_tasks"] = len(triples)
         stats["samples"] = samples
         stats["seed"] = seed
     return TheoremVerdict(q, "hb1f", computed, predict_hb1f(q), witness, stats)

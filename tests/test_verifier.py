@@ -4,6 +4,7 @@ import pytest
 
 from trifactor.factorisation import BadResidueError, build_factorisation
 from trifactor.field import field
+from trifactor.hypergraph import find_hamilton_berge_cycle
 from trifactor.verifier import (
     AlphaInSubfieldError,
     EvenDegreeError,
@@ -135,6 +136,29 @@ def test_check_hb1f_sampled_deterministic(facts):
     assert v1.to_dict() == v2.to_dict()
     with pytest.raises(ValueError):
         check_hb1f(facts(8), mode="sampled")
+
+
+def test_check_hb1f_sampled_searches_each_distinct_triple_once(facts, monkeypatch):
+    searched = []
+
+    def counting_search(h, *args):
+        searched.append(tuple(h.edges))
+        return find_hamilton_berge_cycle(h, *args)
+
+    monkeypatch.setattr("trifactor.verifier.find_hamilton_berge_cycle",
+                        counting_search)
+    v = check_hb1f(facts(8), mode="sampled", samples=1000, seed=7)
+    assert v.computed is True
+    assert v.stats["tasks"] == 1000 and v.stats["distinct_tasks"] == 872
+    assert len(searched) == len(set(searched)) == 872
+
+
+def test_check_hb1f_report_independent_of_workers(facts):
+    # 3,276 triples: more than the 1000 that send workers=2 to the pool
+    one = check_hb1f(facts(8), mode="full", workers=1)
+    two = check_hb1f(facts(8), mode="full", workers=2)
+    assert one.stats["tasks"] == 3276
+    assert one.to_dict() == two.to_dict()
 
 
 def test_overlap_distribution(facts):
