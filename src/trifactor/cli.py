@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .factorisation import build_factorisation, dump_factorisation
+from .factorisation import build_factorisation, build_one_factor, dump_factorisation
 from .field import UsageError
 from .groups import (
     a4_pair_census,
@@ -28,6 +28,7 @@ from .groups import (
 from .hypergraph import pair_overlap, pair_overlap_algebraic
 from .projline import base_map, orbit_map, point_str
 from .verifier import (
+    PROPERTIES,
     TheoremVerdict,
     char2_uniformity_scan,
     check_c1f,
@@ -123,9 +124,8 @@ def cmd_check(args) -> int:
 
 def cmd_overlap(args) -> int:
     ctx = field_for(args.q)
-    fact = build_factorisation(ctx)
     if args.alpha is None:
-        hist = overlap_distribution(fact)
+        hist = overlap_distribution(build_factorisation(ctx))
         if args.format == "json":
             payload = {"q": args.q, "histogram": {str(k): v for k, v in hist.items()}}
             _write_output(_json_dumps(payload), args.out)
@@ -135,7 +135,7 @@ def cmd_overlap(args) -> int:
     a = ctx.parse_element(args.alpha)
     b = ctx.parse_element(args.beta if args.beta is not None else "0")
     alg = pair_overlap_algebraic(ctx, a, b)
-    comb = pair_overlap(fact.factors[0], fact.factor(a, b))
+    comb = pair_overlap(build_one_factor(ctx, 1, 0), build_one_factor(ctx, a, b))
     agree = alg.count == comb.count
     if args.format == "json":
         payload = {
@@ -166,10 +166,9 @@ def cmd_overlap(args) -> int:
 
 def cmd_subgroup(args) -> int:
     ctx = field_for(args.q)
-    fact = build_factorisation(ctx)
     f = base_map(ctx)
     if args.census:
-        res = a4_pair_census(fact)
+        res = a4_pair_census(build_factorisation(ctx))
         payload = {"q": args.q, **res}
         if ctx.p == 2:
             payload.update(char2_a4_a5_presence(ctx))
@@ -182,7 +181,7 @@ def cmd_subgroup(args) -> int:
         labels = [(ctx.parse_element(args.alpha),
                    ctx.parse_element(args.beta if args.beta is not None else "0"))]
     else:
-        labels = [fac.label for fac in fact.factors[1:]]
+        labels = [fac.label for fac in build_factorisation(ctx).factors[1:]]
     rows = []
     for a, b in labels:
         m = orbit_map(ctx, a, b)
@@ -255,7 +254,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("check", help="verify a classification property")
-    p.add_argument("prop", choices=("c1f", "u1f", "uc1f", "hb1f"))
+    p.add_argument("prop", choices=PROPERTIES)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", choices=("reduced", "full", "sampled"))
     p.add_argument("--samples", type=int, help="sample count for sampled mode")

@@ -1,11 +1,12 @@
 """Subgroups of the projective linear group generated by orbit maps.
 
-The closure of a generator set is computed by breadth-first multiplication;
-since the relevant subgroups are tiny (orders 3, 12, 24, 60, plus subfield
-copies) compared to the full group, classification mostly needs an early
-exit: once the closure outgrows every proper possibility it must be the
-whole group, and the exact order follows from the group-order formula
-rather than from enumeration.
+The closure of a generator set is computed breadth-first on point
+permutations, each element keyed by its images of 0, 1 and infinity.  Since
+the relevant subgroups are tiny (orders 3, 12, 24, 60, plus subfield copies)
+compared to the full group, classification mostly needs an early exit: once
+the closure outgrows every proper possibility it must be the whole group,
+and the exact order follows from the group-order formula rather than from
+enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd
 
 from .factorisation import Factorisation
 from .field import FiniteField, UsageError, is_prime
-from .projline import Mobius, identity_map, orbit_map
+from .projline import Mobius, orbit_map
 
 
 class CapExceededError(RuntimeError):
@@ -54,43 +55,34 @@ def full_exit_threshold(ctx: FiniteField) -> int:
 
 @dataclass
 class GeneratedSubgroup:
-    generators: list[Mobius]
-    elements: frozenset[Mobius] | None
+    """A closure; each element is keyed by its images of 0, 1 and infinity.
+
+    PGL(2,q) is sharply 3-transitive on the projective line, so the key
+    (g(0), g(1), g(inf)) names exactly one element g.  elements is None
+    after an early exit.
+    """
+
+    elements: frozenset[tuple[int, int, int]] | None
     order: int
-    order3_count: int | None
-    orbits: list[list[int]]
     full_group: bool = False
 
 
-def _point_orbits(ctx: FiniteField, gens: list[Mobius]) -> list[list[int]]:
-    n = ctx.q + 1
-    maps = gens + [g.inverse() for g in gens]
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in maps:
-                    y = g(x)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        orbits.append(sorted(orbit))
-    return orbits
+def _steps(gens: list[Mobius]) -> list[tuple[int, ...]]:
+    """Point permutations of the generators, then of their inverses, deduplicated."""
+    perms = [tuple(g.permutation()) for g in gens]
+    inverses = []
+    for perm in perms:
+        inv = [0] * len(perm)
+        for x, y in enumerate(perm):
+            inv[y] = x
+        inverses.append(tuple(inv))
+    return list(dict.fromkeys(perms + inverses))
 
 
 def is_transitive(ctx: FiniteField, gens: list[Mobius]) -> bool:
     """Single orbit on the projective line; needs no subgroup closure."""
     n = ctx.q + 1
-    maps = gens + [g.inverse() for g in gens]
+    steps = _steps(gens)
     seen = [False] * n
     seen[n - 1] = True  # start from infinity
     frontier = [n - 1]
@@ -98,8 +90,8 @@ def is_transitive(ctx: FiniteField, gens: list[Mobius]) -> bool:
     while frontier:
         nxt = []
         for x in frontier:
-            for g in maps:
-                y = g(x)
+            for s in steps:
+                y = s[x]
                 if not seen[y]:
                     seen[y] = True
                     count += 1
@@ -116,46 +108,33 @@ def generate_subgroup(
 ) -> GeneratedSubgroup:
     """Breadth-first closure of gens under composition.
 
-    With stop_when_full, the search stops as soon as the closure exceeds
+    Works on keys (g(0), g(1), g(inf)): composing a generator permutation s
+    on the left sends key (a, b, c) to (s[a], s[b], s[c]).  With
+    stop_when_full, the search stops as soon as the closure exceeds
     full_exit_threshold and reports the whole group with its order given by
     the order formula; this is only sound for generators that are
     conjugates of the base map.  Exact closures beyond cap raise.
     """
-    ident = identity_map(ctx)
-    step = list(dict.fromkeys(list(gens) + [g.inverse() for g in gens]))
+    steps = _steps(gens)
+    ident = (0, 1, ctx.q)
     seen = {ident}
     frontier = [ident]
     threshold = full_exit_threshold(ctx) if stop_when_full else None
     while frontier:
         nxt = []
-        for h in frontier:
-            for g in step:
-                x = g.compose(h)
+        for a, b, c in frontier:
+            for s in steps:
+                x = (s[a], s[b], s[c])
                 if x not in seen:
                     seen.add(x)
                     nxt.append(x)
                     if threshold is not None and len(seen) > threshold:
-                        return GeneratedSubgroup(
-                            list(gens),
-                            None,
-                            psl_order(ctx),
-                            None,
-                            _point_orbits(ctx, list(gens)),
-                            full_group=True,
-                        )
+                        return GeneratedSubgroup(None, psl_order(ctx), full_group=True)
                     if len(seen) > cap:
                         raise CapExceededError(f"closure exceeded cap {cap}")
         frontier = nxt
-    order3 = sum(
-        1 for g in seen if g != ident and g.compose(g).compose(g) == ident
-    )
     return GeneratedSubgroup(
-        list(gens),
-        frozenset(seen),
-        len(seen),
-        order3,
-        _point_orbits(ctx, list(gens)),
-        full_group=len(seen) == psl_order(ctx),
+        frozenset(seen), len(seen), full_group=len(seen) == psl_order(ctx)
     )
 
 
@@ -177,8 +156,6 @@ def classify_subgroup(group: GeneratedSubgroup, ctx: FiniteField) -> SubgroupCla
         return SubgroupClass("FullPSL", psl_order(ctx))
     order = group.order
     tags = {3: "C3", 12: "A4", 24: "S4", 60: "A5"}
-    if order == psl_order(ctx):
-        return SubgroupClass("FullPSL", order)
     if order in tags:
         return SubgroupClass(tags[order], order)
     return SubgroupClass("Other", order)

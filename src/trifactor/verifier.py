@@ -20,10 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .factorisation import (
-    BadResidueError,
     Factorisation,
     build_factorisation,
     build_one_factor,
+    require_residue,
     verify_partition,
 )
 from .field import FiniteField, InvariantError, UsageError, field, is_prime
@@ -38,6 +38,7 @@ from .hypergraph import (
 )
 
 SUPPORTED_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
+PROPERTIES = ("c1f", "u1f", "uc1f", "hb1f")
 
 
 class NotPrimePowerError(UsageError):
@@ -80,16 +81,14 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 def field_for(q: int) -> FiniteField:
     p, l = factor_prime_power(q)
-    if q % 3 != 2:
-        raise BadResidueError(f"q={q} is not 2 mod 3")
+    require_residue(q)
     return field(p, l)
 
 
 def predict_c1f(q: int) -> bool:
     """Connectedness predicate: q in {2, 5, 11} or 2^p with p an odd prime."""
     p, l = factor_prime_power(q)
-    if q % 3 != 2:
-        raise BadResidueError(f"q={q} is not 2 mod 3")
+    require_residue(q)
     if q in (2, 5, 11):
         return True
     return p == 2 and is_prime(l) and l % 2 == 1
@@ -97,9 +96,8 @@ def predict_c1f(q: int) -> bool:
 
 def predict_u1f(q: int) -> bool:
     """Uniformity predicate: q in {2, 5, 8}."""
-    if q % 3 != 2:
-        raise BadResidueError(f"q={q} is not 2 mod 3")
     factor_prime_power(q)
+    require_residue(q)
     return q in (2, 5, 8)
 
 
@@ -543,6 +541,8 @@ def _set_config_line(cfg: SuiteConfig, line: str) -> None:
         cfg.workers = int(value)
     elif key.startswith("expect_"):
         _, prop, q = key.split("_")
+        if prop not in PROPERTIES:
+            raise ValueError(f"unknown property {prop!r}")
         if value not in ("true", "false"):
             raise ValueError(f"bad expectation value {value!r}")
         cfg.expectations[(prop, int(q))] = value == "true"

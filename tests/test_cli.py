@@ -169,6 +169,10 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
     assert code == 3
     assert "qs = five" in err
+    cfg.write_text("expect_clf_17 = true\n")  # a property name with a typo
+    code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 3
+    assert "expect_clf_17 = true" in err
     cfg.write_bytes(b"qs = \xff\n")
     assert run_cli(capsys, "suite", "--config", str(cfg))[0] == 3
     # sampling needs a positive count and at least three factors to draw from
@@ -189,3 +193,32 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err == "trifactor: internal error: ValueError: matrix is singular\n"
+
+
+def test_single_label_commands_build_no_factorisation(monkeypatch, capsys):
+    import trifactor.cli
+
+    def broken(ctx):
+        raise ValueError("whole factorisation built")
+
+    monkeypatch.setattr(trifactor.cli, "build_factorisation", broken)
+    # (8, 7) is the later twin of (3, 4): its factor is the same edge set
+    code, out, _ = run_cli(capsys, "overlap", "--q", "11", "--alpha", "8",
+                           "--beta", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "agree": True, "algebraic": 4, "alpha": "8", "beta": "7",
+        "combinatorial": 4, "direct_solutions": [0, 3],
+        "inverse_solutions": [2, 7], "q": 11,
+        "repeated_pairs": [[0, 1], [2, 6], [3, 5], [4, 7]],
+    }
+    for extra in ((), ("--exact",)):
+        code, out, _ = run_cli(capsys, "subgroup", "--q", "11", "--alpha", "3",
+                               "--beta", "4", "--format", "json", *extra)
+        assert code == 0
+        assert json.loads(out) == {
+            "labels": [{"alpha": "3", "beta": "4", "class": "A5", "order": 60,
+                        "transitive": True}],
+            "psl_order": 660,
+            "q": 11,
+        }

@@ -17,6 +17,8 @@ from trifactor.groups import (
 from trifactor.hypergraph import is_connected, union_hypergraph
 from trifactor.projline import base_map, identity_map, orbit_map
 
+from test_groups_reference import order3_count, reference_generate_subgroup
+
 
 def test_psl_orders():
     assert psl_order(field(5)) == 60
@@ -36,8 +38,11 @@ def test_generate_single_orbit_map_is_c3():
     ctx = field(5)
     g = generate_subgroup(ctx, [base_map(ctx)])
     assert g.order == 3
-    assert g.order3_count == 2
-    assert g.orbits == [[0, 1, 5], [2, 3, 4]]  # the base factor's edges
+    # keys (g(0), g(1), g(inf)) of the identity, x -> 1/(1-x) and its square
+    assert g.elements == {(0, 1, 5), (1, 5, 0), (5, 0, 1)}
+    assert {k[2] for k in g.elements} == {0, 1, 5}  # a base factor edge
+    ref = reference_generate_subgroup(ctx, [base_map(ctx)])
+    assert order3_count(ctx, ref.elements) == 2
     assert classify_subgroup(g, ctx).tag == "C3"
 
 
@@ -60,13 +65,14 @@ def test_closure_is_a_group():
     ctx = field(5)
     F = build_factorisation(ctx)
     gens = [base_map(ctx), orbit_map(ctx, *F.factors[3].label)]
-    g = generate_subgroup(ctx, gens)
-    elements = g.elements
+    elements = reference_generate_subgroup(ctx, gens).elements
     assert identity_map(ctx) in elements
     for a in elements:
         assert a.inverse() in elements
         for b in elements:
             assert a.compose(b) in elements
+    g = generate_subgroup(ctx, gens)
+    assert g.order == len(elements)
     # Lagrange for subgroups of the special projective group
     assert psl_order(ctx) % g.order == 0
 
@@ -90,15 +96,16 @@ def test_at_least_four_order3_elements_in_nonbase_closures():
         F = build_factorisation(ctx)
         f = base_map(ctx)
         for fac in F.factors[1:6]:
-            g = generate_subgroup(ctx, [f, orbit_map(ctx, *fac.label)])
-            assert g.order3_count >= 4
+            gens = [f, orbit_map(ctx, *fac.label)]
+            ref = reference_generate_subgroup(ctx, gens)
+            assert order3_count(ctx, ref.elements) >= 4
 
 
 def test_transitivity_orbit_vs_closure_orbits():
     # single generator can never be transitive (order 3 on more points)
     ctx = field(5)
     assert not is_transitive(ctx, [base_map(ctx)])
-    # cross-check: transitive iff the closure has a single point orbit
+    # cross-check: transitive iff the closure moves infinity to every point
     for p, l in [(5, 1), (11, 1)]:
         c = field(p, l)
         F = build_factorisation(c)
@@ -106,7 +113,8 @@ def test_transitivity_orbit_vs_closure_orbits():
         for fac in F.factors[1:8]:
             m = orbit_map(c, *fac.label)
             g = generate_subgroup(c, [f, m])
-            assert is_transitive(c, [f, m]) == (len(g.orbits) == 1)
+            orbit_of_inf = {k[2] for k in g.elements}
+            assert is_transitive(c, [f, m]) == (len(orbit_of_inf) == c.q + 1)
 
 
 def test_q11_all_pairs_transitive_q17_not():

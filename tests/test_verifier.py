@@ -3,7 +3,7 @@ import json
 import pytest
 
 from trifactor.factorisation import BadResidueError, build_factorisation
-from trifactor.field import field
+from trifactor.field import UsageError, field
 from trifactor.hypergraph import find_hamilton_berge_cycle
 from trifactor.verifier import (
     AlphaInSubfieldError,
@@ -61,10 +61,14 @@ def test_predictions():
     assert predict_u1f(32) is False
     assert predict_u1f(2) is True
     assert predict_hb1f(32) is True
-    with pytest.raises(BadResidueError):
-        predict_c1f(7)
-    with pytest.raises(NotPrimePowerError):
-        predict_c1f(14)
+    for predict in (predict_c1f, predict_u1f):
+        with pytest.raises(BadResidueError):
+            predict(7)
+        # not a prime power, whatever the residue
+        with pytest.raises(NotPrimePowerError):
+            predict(14)
+        with pytest.raises(NotPrimePowerError):
+            predict(6)
 
 
 def test_check_c1f_positive_cases(facts):
@@ -252,6 +256,8 @@ def test_parse_config_round_trip():
         parse_config("nonsense_key = 1")
     with pytest.raises(ValueError):
         parse_config("just a line")
+    with pytest.raises(UsageError, match="expect_clf_17"):
+        parse_config("expect_clf_17 = true")
 
 
 def test_run_suite_small_clean():
