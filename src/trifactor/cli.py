@@ -19,7 +19,6 @@ from .factorisation import build_factorisation, build_one_factor, dump_factorisa
 from .field import UsageError
 from .groups import (
     a4_pair_census,
-    char2_a4_a5_presence,
     classify_subgroup,
     generate_subgroup,
     is_transitive,
@@ -168,10 +167,7 @@ def cmd_subgroup(args) -> int:
     ctx = field_for(args.q)
     f = base_map(ctx)
     if args.census:
-        res = a4_pair_census(build_factorisation(ctx))
-        payload = {"q": args.q, **res}
-        if ctx.p == 2:
-            payload.update(char2_a4_a5_presence(ctx))
+        payload = {"q": args.q, **a4_pair_census(build_factorisation(ctx))}
         _write_output(
             _json_dumps(payload) if args.format == "json" else f"{payload}\n",
             args.out,

@@ -42,15 +42,6 @@ class OneFactor:
         self.label = label
         self.edges = edges
 
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        """All vertex pairs covered by some edge (q+1 of them)."""
-        pairs = []
-        for x, y, z in self.edges:
-            pairs.append((x, y))
-            pairs.append((x, z))
-            pairs.append((y, z))
-        return frozenset(pairs)
-
     def __eq__(self, other):
         return isinstance(other, OneFactor) and self.edges == other.edges
 
@@ -61,7 +52,7 @@ class OneFactor:
         return f"OneFactor(label={self.label}, edges={len(self.edges)})"
 
 
-def _orbit_edges(perm: list[int], n: int) -> tuple[Edge, ...]:
+def _orbit_edges(perm: tuple[int, ...], n: int) -> tuple[Edge, ...]:
     edges = []
     seen = bytearray(n)
     for x in range(n):
@@ -231,7 +222,11 @@ def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
 
 
 def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
-    """Round-trip loader for the dump format."""
+    """Round-trip loader for the dump format.
+
+    Each factor's label and its twin (-a, a + b) both map to the factor, so
+    label_map matches build_factorisation's.
+    """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -263,7 +258,7 @@ def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
             a = ctx.parse_element(parts[2].split("=", 1)[1])
             b = ctx.parse_element(parts[3].split("=", 1)[1])
             label = (a, b)
-            label_map[label] = int(parts[1])
+            label_map[label] = label_map[(ctx.neg(a), ctx.add(a, b))] = int(parts[1])
             edges = []
         else:
             vals = tuple(

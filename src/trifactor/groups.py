@@ -15,20 +15,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from .factorisation import Factorisation
-from .field import FiniteField, UsageError, is_prime
+from .field import FiniteField, OutOfRangeError, is_prime
 from .projline import Mobius, orbit_map
 
 
 class CapExceededError(RuntimeError):
     """Exact closure grew beyond the caller's cap."""
-
-
-class OutOfRangeError(UsageError):
-    """Argument outside the supported range."""
-
-
-class WrongCharacteristicError(UsageError):
-    """Operation requires characteristic 2."""
 
 
 def psl_order(ctx: FiniteField) -> int:
@@ -69,7 +61,7 @@ class GeneratedSubgroup:
 
 def _steps(gens: list[Mobius]) -> list[tuple[int, ...]]:
     """Point permutations of the generators, then of their inverses, deduplicated."""
-    perms = [tuple(g.permutation()) for g in gens]
+    perms = [g.permutation() for g in gens]
     inverses = []
     for perm in perms:
         inv = [0] * len(perm)
@@ -185,22 +177,3 @@ def a4_pair_census(fact: Factorisation, max_q: int = 29) -> dict:
         "expected_copies": q * (q * q - 1) // 24,
     }
 
-
-def char2_a4_a5_presence(ctx: FiniteField) -> dict:
-    """Whether the full group contains A4/A5, via quadratic solvability.
-
-    In characteristic 2 an A4 subgroup exists iff x^2 + x = 1 has a
-    solution; A5 additionally needs y^2 + z^2 = -1 solvable, which is
-    checked by scanning rather than assumed.
-    """
-    if ctx.p != 2:
-        raise WrongCharacteristicError("requires characteristic 2")
-    has_a4 = bool(ctx.solve_quadratic(1, 1, 1))  # x^2 + x + 1 = 0
-    neg_one = ctx.neg(1)
-    has_sum = False
-    for y in ctx.elements():
-        z2 = ctx.sub(neg_one, ctx.mul(y, y))
-        if ctx.sqrt(z2) is not None:
-            has_sum = True
-            break
-    return {"has_a4": has_a4, "has_a5": has_a4 and has_sum}

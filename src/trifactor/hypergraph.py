@@ -128,10 +128,24 @@ class OverlapResult:
 
 
 def pair_overlap(f1: OneFactor, f2: OneFactor) -> OverlapResult:
-    """Count vertex pairs covered by an edge of each factor (combinatorial)."""
+    """Count vertex pairs covered by an edge of each factor (combinatorial).
+
+    block[v] is the index of the f1 edge holding v; a pair of an f2 edge is
+    repeated when both its points fall in one block.
+    """
     if f1.edges == f2.edges:
         raise SameFactorError("pair overlap needs two distinct factors")
-    common = f1.pair_set() & f2.pair_set()
+    block = [0] * (3 * len(f1.edges))
+    for i, (x, y, z) in enumerate(f1.edges):
+        block[x] = block[y] = block[z] = i
+    common = []
+    for x, y, z in f2.edges:
+        if block[x] == block[y]:
+            common.append((x, y))
+        if block[x] == block[z]:
+            common.append((x, z))
+        if block[y] == block[z]:
+            common.append((y, z))
     return OverlapResult(len(common), sorted(common))
 
 

@@ -39,7 +39,7 @@ class Mobius:
     rules out 0/0.
     """
 
-    __slots__ = ("ctx", "a", "b", "c", "d")
+    __slots__ = ("ctx", "a", "b", "c", "d", "_perm")
 
     def __init__(self, ctx: FiniteField, a: int, b: int, c: int, d: int):
         det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
@@ -54,6 +54,7 @@ class Mobius:
         self.b = ctx.mul(scale, b)
         self.c = ctx.mul(scale, c)
         self.d = ctx.mul(scale, d)
+        self._perm = None
 
     @property
     def entries(self) -> tuple[int, int, int, int]:
@@ -110,9 +111,11 @@ class Mobius:
         ctx = self.ctx
         return Mobius(ctx, self.d, ctx.neg(self.b), ctx.neg(self.c), self.a)
 
-    def permutation(self) -> list[int]:
-        """Image of every point, indexed 0..q (inf last)."""
-        return [self(x) for x in range(self.ctx.q + 1)]
+    def permutation(self) -> tuple[int, ...]:
+        """Image of every point, indexed 0..q (inf last); computed once."""
+        if self._perm is None:
+            self._perm = tuple(self(x) for x in range(self.ctx.q + 1))
+        return self._perm
 
 
 def identity_map(ctx: FiniteField) -> Mobius:
@@ -147,37 +150,3 @@ def orbit_map(ctx: FiniteField, a: int, b: int) -> Mobius:
         raise InvariantError(f"orbit map {m!r} is not the conjugate of the base map")
     return m
 
-
-def standardize_pair(
-    ctx: FiniteField, lab1: tuple[int, int], lab2: tuple[int, int]
-) -> tuple[int, int]:
-    """Conjugate a pair of orbit maps so the first becomes the base map.
-
-    Returns the label (a0, b0) of the image of the second map under the
-    affine change of coordinates that sends orbit_map(*lab1) to the base
-    map.  The resulting relabelling is a hypergraph isomorphism between the
-    corresponding pairs of 1-factors.
-    """
-    a1, b1 = lab1
-    a2, b2 = lab2
-    if a1 == 0 or a2 == 0:
-        raise AlphaZeroError("label scale must be nonzero")
-    inv_a1 = ctx.inv(a1)
-    a0 = ctx.mul(inv_a1, a2)
-    b0 = ctx.mul(inv_a1, ctx.sub(b2, b1))
-    g = affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1)))
-    g_inv = g.inverse()
-    if (g.compose(orbit_map(ctx, a1, b1)).compose(g_inv) != base_map(ctx)
-            or g.compose(orbit_map(ctx, a2, b2)).compose(g_inv)
-            != orbit_map(ctx, a0, b0)):
-        raise InvariantError(f"conjugation by {g!r} does not standardise the pair")
-    return a0, b0
-
-
-def standardizing_map(ctx: FiniteField, lab1: tuple[int, int]) -> Mobius:
-    """The affine map used by standardize_pair for a given first label."""
-    a1, b1 = lab1
-    if a1 == 0:
-        raise AlphaZeroError("label scale must be nonzero")
-    inv_a1 = ctx.inv(a1)
-    return affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1)))

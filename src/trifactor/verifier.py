@@ -17,7 +17,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .factorisation import (
     Factorisation,
@@ -26,7 +26,14 @@ from .factorisation import (
     require_residue,
     verify_partition,
 )
-from .field import FiniteField, InvariantError, UsageError, field, is_prime
+from .field import (
+    FiniteField,
+    InvariantError,
+    OutOfRangeError,
+    UsageError,
+    field,
+    is_prime,
+)
 from .hypergraph import (
     components,
     find_hamilton_berge_cycle,
@@ -55,10 +62,6 @@ class WrongFieldError(UsageError):
 
 class AlphaInSubfieldError(UsageError):
     """The element must lie outside the prime subfield."""
-
-
-class OutOfRangeError(UsageError):
-    """Scan degree outside the supported range."""
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -482,18 +485,13 @@ class SuiteConfig:
     expectations: dict = dc_field(default_factory=dict)  # (prop, q) -> bool
 
     def describe(self) -> dict:
-        return {
-            "qs": list(self.qs),
-            "c1f_full_max_q": self.c1f_full_max_q,
-            "hb1f_full_qs": list(self.hb1f_full_qs),
-            "hb1f_reduced_qs": list(self.hb1f_reduced_qs),
-            "hb1f_sampled": [list(t) for t in self.hb1f_sampled],
-            "trace_scan_degrees": list(self.trace_scan_degrees),
-            "time_budget": self.time_budget,
-            "expectations": {
-                f"{prop}_{q}": v for (prop, q), v in sorted(self.expectations.items())
-            },
+        """Every field but the run-time ones that must not change the report."""
+        out = asdict(self)
+        del out["workers"], out["include_timings"]
+        out["expectations"] = {
+            f"{prop}_{q}": v for (prop, q), v in sorted(self.expectations.items())
         }
+        return out
 
 
 def parse_config(text: str) -> SuiteConfig:

@@ -4,11 +4,14 @@ The q=32 reduced triple sweep is slow-tier (pytest -m slow); the q=128
 sampled sweep is a stretch run (pytest -m stretch), not a gate.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,7 @@ from trifactor.verifier import (
 )
 
 ALL_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
+GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
 
 
 @contextmanager
@@ -280,6 +284,10 @@ def test_criterion_10_suite_determinism():
         r2 = run_suite(cfg)
         assert r1.to_json().encode() == r2.to_json().encode()
         assert r1.exit_code == 0
+        # the report the benchmark checks, pinned here too
+        goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+        digest = hashlib.sha256(r1.to_json().encode()).hexdigest()
+        assert digest == goldens["suite"]["sha256"]
 
 
 def test_witnesses_replay_validly(factorisations):

@@ -175,6 +175,9 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert "expect_clf_17 = true" in err
     cfg.write_bytes(b"qs = \xff\n")
     assert run_cli(capsys, "suite", "--config", str(cfg))[0] == 3
+    # the A4 census covers odd primes only
+    code, out, _ = run_cli(capsys, "subgroup", "--q", "8", "--census")
+    assert code == 3 and out == ""
     # sampling needs a positive count and at least three factors to draw from
     for q, samples in (("8", "0"), ("2", "3")):
         code, _, _ = run_cli(capsys, "check", "hb1f", "--q", q, "--mode",

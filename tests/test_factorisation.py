@@ -165,6 +165,14 @@ def test_dump_round_trip():
         assert again == fact
 
 
+@pytest.mark.parametrize("q", [2, 5, 8, 11, 125])
+def test_load_registers_every_label(q):
+    # each factor's twin label (-a, a + b) must resolve after a round trip
+    fact = build_factorisation(field_for(q))
+    again = load_factorisation(dumps_factorisation(fact))
+    assert again.label_map == fact.label_map
+
+
 def test_dump_human_variant_uses_inf():
     fact = build_factorisation(field(2))
     text = dumps_factorisation(fact, human=True)

@@ -5,9 +5,7 @@ from trifactor.field import field
 from trifactor.groups import (
     CapExceededError,
     OutOfRangeError,
-    WrongCharacteristicError,
     a4_pair_census,
-    char2_a4_a5_presence,
     classify_subgroup,
     full_exit_threshold,
     generate_subgroup,
@@ -15,7 +13,7 @@ from trifactor.groups import (
     psl_order,
 )
 from trifactor.hypergraph import is_connected, union_hypergraph
-from trifactor.projline import base_map, identity_map, orbit_map
+from trifactor.projline import Mobius, base_map, identity_map, orbit_map
 
 from test_groups_reference import order3_count, reference_generate_subgroup
 
@@ -184,9 +182,18 @@ def test_a4_census_q17_pairs_exist():
     assert res["expected_copies"] == 204
 
 
-def test_char2_presence():
-    assert char2_a4_a5_presence(field(2, 3)) == {"has_a4": False, "has_a5": False}
-    assert char2_a4_a5_presence(field(2, 5)) == {"has_a4": False, "has_a5": False}
-    assert char2_a4_a5_presence(field(2, 2)) == {"has_a4": True, "has_a5": True}
-    with pytest.raises(WrongCharacteristicError):
-        char2_a4_a5_presence(field(5))
+
+def test_census_converts_each_map_once(monkeypatch):
+    # 55 orbit maps on 12 points: each is evaluated once, not once per pair
+    fact = build_factorisation(field(11))
+    calls = 0
+    evaluate = Mobius.__call__
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Mobius, "__call__", counted)
+    assert a4_pair_census(fact)["a4_pair_count"] == 330
+    assert calls <= 55 * 12

@@ -21,7 +21,7 @@ from trifactor.hypergraph import (
     union_hypergraph,
     validate_berge_cycle,
 )
-from trifactor.projline import standardize_pair
+from trifactor.projline import affine_map
 
 
 def test_union_shapes():
@@ -146,36 +146,31 @@ def test_overlap_algebraic_matches_combinatorial_exhaustive(p, l):
             assert alg.repeated_pairs == comb.repeated_pairs, (p, l, a, b)
 
 
-def test_relabelling_reduction_preserves_connectivity():
-    # conjugating any pair onto the base factor is a hypergraph isomorphism
+def test_relabelling_moves_any_pair_onto_the_base_factor():
+    # x -> (x - b1) / a1 sends factor (a1, b1) onto the base factor and every
+    # factor onto a factor, so it is an isomorphism between the two unions
     for p, l in [(5, 1), (2, 3), (11, 1), (17, 1)]:
         ctx = field(p, l)
         F = build_factorisation(ctx)
         n = ctx.q + 1
+        by_edges = {frozenset(f.edges): f for f in F.factors}
         rng = random.Random(ctx.q)
         for _ in range(200):
             a1, a2 = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
             b1, b2 = rng.randrange(ctx.q), rng.randrange(ctx.q)
             if F.label_map[(a1, b1)] == F.label_map[(a2, b2)]:
                 continue
-            a0, b0 = standardize_pair(ctx, (a1, b1), (a2, b2))
-            h = union_hypergraph(n, [F.factor(a1, b1), F.factor(a2, b2)])
-            h0 = union_hypergraph(n, [F.factors[0], F.factor(a0, b0)])
+            inv_a1 = ctx.inv(a1)
+            g = affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1))).permutation()
+            f1, f2 = F.factor(a1, b1), F.factor(a2, b2)
+            moved1 = {tuple(sorted(g[v] for v in e)) for e in f1.edges}
+            moved2 = frozenset(tuple(sorted(g[v] for v in e)) for e in f2.edges)
+            assert moved1 == set(F.factors[0].edges)
+            assert moved2 in by_edges
+            h = union_hypergraph(n, [f1, f2])
+            h0 = union_hypergraph(n, [F.factors[0], by_edges[moved2]])
+            assert apply_isomorphism(h, g) == set(h0.edges)
             assert is_connected(h) == is_connected(h0)
-
-
-def test_relabelling_is_explicit_edge_bijection():
-    from trifactor.projline import standardizing_map
-
-    ctx = field(5)
-    F = build_factorisation(ctx)
-    a1, b1, a2, b2 = 2, 1, 3, 4
-    a0, b0 = standardize_pair(ctx, (a1, b1), (a2, b2))
-    g = standardizing_map(ctx, (a1, b1))
-    perm = g.permutation()
-    h = union_hypergraph(6, [F.factor(a1, b1), F.factor(a2, b2)])
-    h0 = union_hypergraph(6, [F.factors[0], F.factor(a0, b0)])
-    assert apply_isomorphism(h, perm) == set(h0.edges)
 
 
 def test_isomorphism_identity_and_size_mismatch():

@@ -13,8 +13,6 @@ from trifactor.projline import (
     orbit_map,
     parse_point,
     point_str,
-    standardize_pair,
-    standardizing_map,
 )
 
 
@@ -142,26 +140,6 @@ def test_alpha_zero_rejected():
         affine_map(ctx, 0, 1)
     with pytest.raises(AlphaZeroError):
         orbit_map(ctx, 0, 1)
-
-
-def test_standardize_pair_examples():
-    ctx = field(5)
-    assert standardize_pair(ctx, (1, 0), (3, 4)) == (3, 4)
-    assert standardize_pair(ctx, (2, 1), (3, 4)) == (4, 4)
-
-
-def test_standardize_pair_conjugation_checked_pointwise():
-    ctx = field(11)
-    rng = random.Random(99)
-    for _ in range(30):
-        a1, a2 = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
-        b1, b2 = rng.randrange(ctx.q), rng.randrange(ctx.q)
-        a0, b0 = standardize_pair(ctx, (a1, b1), (a2, b2))
-        g = standardizing_map(ctx, (a1, b1))
-        m2 = orbit_map(ctx, a2, b2)
-        m0 = orbit_map(ctx, a0, b0)
-        for x in range(ctx.q + 1):
-            assert g(m2(g.inverse()(x))) == m0(x)
 
 
 def test_point_text_forms():
