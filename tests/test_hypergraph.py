@@ -146,31 +146,46 @@ def test_overlap_algebraic_matches_combinatorial_exhaustive(p, l):
             assert alg.repeated_pairs == comb.repeated_pairs, (p, l, a, b)
 
 
-def test_relabelling_moves_any_pair_onto_the_base_factor():
+def _relabel_onto_base(ctx, F, a1, b1, a2, b2):
     # x -> (x - b1) / a1 sends factor (a1, b1) onto the base factor and every
     # factor onto a factor, so it is an isomorphism between the two unions
+    n = ctx.q + 1
+    by_edges = {frozenset(f.edges): f for f in F.factors}
+    inv_a1 = ctx.inv(a1)
+    g = affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1))).permutation()
+    f1, f2 = F.factor(a1, b1), F.factor(a2, b2)
+    moved1 = {tuple(sorted(g[v] for v in e)) for e in f1.edges}
+    moved2 = frozenset(tuple(sorted(g[v] for v in e)) for e in f2.edges)
+    assert moved1 == set(F.factors[0].edges)
+    assert moved2 in by_edges
+    h = union_hypergraph(n, [f1, f2])
+    h0 = union_hypergraph(n, [F.factors[0], by_edges[moved2]])
+    return g, h, h0
+
+
+def test_relabelling_reduction_preserves_connectivity():
+    # relabelling any pair onto the base factor is a hypergraph isomorphism
     for p, l in [(5, 1), (2, 3), (11, 1), (17, 1)]:
         ctx = field(p, l)
         F = build_factorisation(ctx)
-        n = ctx.q + 1
-        by_edges = {frozenset(f.edges): f for f in F.factors}
         rng = random.Random(ctx.q)
         for _ in range(200):
             a1, a2 = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
             b1, b2 = rng.randrange(ctx.q), rng.randrange(ctx.q)
             if F.label_map[(a1, b1)] == F.label_map[(a2, b2)]:
                 continue
-            inv_a1 = ctx.inv(a1)
-            g = affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1))).permutation()
-            f1, f2 = F.factor(a1, b1), F.factor(a2, b2)
-            moved1 = {tuple(sorted(g[v] for v in e)) for e in f1.edges}
-            moved2 = frozenset(tuple(sorted(g[v] for v in e)) for e in f2.edges)
-            assert moved1 == set(F.factors[0].edges)
-            assert moved2 in by_edges
-            h = union_hypergraph(n, [f1, f2])
-            h0 = union_hypergraph(n, [F.factors[0], by_edges[moved2]])
+            g, h, h0 = _relabel_onto_base(ctx, F, a1, b1, a2, b2)
             assert apply_isomorphism(h, g) == set(h0.edges)
             assert is_connected(h) == is_connected(h0)
+
+
+def test_relabelling_is_explicit_edge_bijection():
+    ctx = field(5)
+    F = build_factorisation(ctx)
+    g, h, h0 = _relabel_onto_base(ctx, F, 2, 1, 3, 4)
+    assert sorted(g) == list(range(6))
+    assert apply_isomorphism(h, g) == set(h0.edges)
+    assert len(h.edges) == len(h0.edges) == 4
 
 
 def test_isomorphism_identity_and_size_mismatch():
