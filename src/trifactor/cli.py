@@ -11,7 +11,6 @@ index q is infinity) and as "inf" in text.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,7 +33,9 @@ from .verifier import (
     check_hb1f,
     check_u1f,
     default_config,
+    exit_status,
     field_for,
+    json_text,
     overlap_distribution,
     parse_config,
     run_suite,
@@ -58,10 +59,6 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _verdict_text(v: TheoremVerdict) -> str:
     comp = "indeterminate" if v.computed is None else str(v.computed).lower()
     lines = [
@@ -71,7 +68,7 @@ def _verdict_text(v: TheoremVerdict) -> str:
     ]
     if v.witness is not None:
         lines.append(f"  witness: {v.witness}")
-    lines.append(f"  stats: {v.stats}")
+    lines.append(f"  stats: {v.to_dict()['stats']}")
     return "\n".join(lines) + "\n"
 
 
@@ -111,14 +108,10 @@ def cmd_check(args) -> int:
             workers=workers,
         )
     if args.format == "json":
-        _write_output(_json_dumps({"q": args.q, **verdict.to_dict()}), args.out)
+        _write_output(json_text({"q": args.q, **verdict.to_dict()}), args.out)
     else:
         _write_output(_verdict_text(verdict), args.out)
-    if verdict.discrepancy:
-        return 1
-    if verdict.indeterminate:
-        return 2
-    return 0
+    return exit_status(verdict.discrepancy, verdict.indeterminate)
 
 
 def cmd_overlap(args) -> int:
@@ -127,7 +120,7 @@ def cmd_overlap(args) -> int:
         hist = overlap_distribution(build_factorisation(ctx))
         if args.format == "json":
             payload = {"q": args.q, "histogram": {str(k): v for k, v in hist.items()}}
-            _write_output(_json_dumps(payload), args.out)
+            _write_output(json_text(payload), args.out)
         else:
             _write_output(f"overlap histogram q={args.q}: {hist}\n", args.out)
         return 0
@@ -148,7 +141,7 @@ def cmd_overlap(args) -> int:
             "inverse_solutions": alg.inverse_solutions,
             "repeated_pairs": [list(p) for p in comb.repeated_pairs],
         }
-        _write_output(_json_dumps(payload), args.out)
+        _write_output(json_text(payload), args.out)
     else:
         direct = [point_str(ctx, x) for x in alg.direct_solutions]
         inverse = [point_str(ctx, x) for x in alg.inverse_solutions]
@@ -169,7 +162,7 @@ def cmd_subgroup(args) -> int:
     if args.census:
         payload = {"q": args.q, **a4_pair_census(build_factorisation(ctx))}
         _write_output(
-            _json_dumps(payload) if args.format == "json" else f"{payload}\n",
+            json_text(payload) if args.format == "json" else f"{payload}\n",
             args.out,
         )
         return 0
@@ -194,7 +187,7 @@ def cmd_subgroup(args) -> int:
         )
     payload = {"q": args.q, "psl_order": psl_order(ctx), "labels": rows}
     if args.format == "json":
-        _write_output(_json_dumps(payload), args.out)
+        _write_output(json_text(payload), args.out)
     else:
         lines = [f"subgroups q={args.q} (group order {psl_order(ctx)}):"]
         for r in rows:
@@ -209,7 +202,7 @@ def cmd_subgroup(args) -> int:
 def cmd_scan_trace(args) -> int:
     scan = char2_uniformity_scan(args.l)
     if args.format == "json":
-        _write_output(_json_dumps(scan), args.out)
+        _write_output(json_text(scan), args.out)
     else:
         _write_output(
             f"trace scan l={args.l}: witnesses={len(scan['witnesses_eq4'])} "

@@ -42,12 +42,6 @@ class OneFactor:
         self.label = label
         self.edges = edges
 
-    def __eq__(self, other):
-        return isinstance(other, OneFactor) and self.edges == other.edges
-
-    def __hash__(self):
-        return hash(self.edges)
-
     def __repr__(self):
         return f"OneFactor(label={self.label}, edges={len(self.edges)})"
 
@@ -154,6 +148,7 @@ class PartitionReport:
     expected_edges: int
     duplicates: list[Edge] = dc_field(default_factory=list)
     missing: list[Edge] = dc_field(default_factory=list)
+    malformed: list[Edge] = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -161,23 +156,31 @@ class PartitionReport:
             self.total_edges == self.expected_edges
             and not self.duplicates
             and not self.missing
+            and not self.malformed
         )
 
 
 def verify_partition(fact: Factorisation) -> PartitionReport:
-    """Check the factors partition all C(q+1, 3) triples exactly once."""
+    """Check the factors partition all C(q+1, 3) triples exactly once.
+
+    An edge that is not a triple 0 <= a < b < c <= q of the line is
+    reported as malformed, so it cannot stand in for a missing triple.
+    """
     n = fact.ctx.q + 1
     expected = math.comb(n, 3)
     seen: set[Edge] = set()
     duplicates = []
+    malformed = []
     total = 0
     for f in fact.factors:
         for e in f.edges:
             total += 1
             if e in seen:
                 duplicates.append(e)
-            else:
+            elif 0 <= e[0] < e[1] < e[2] < n:
                 seen.add(e)
+            else:
+                malformed.append(e)
     missing = []
     if len(seen) != expected:
         for e in combinations(range(n), 3):
@@ -185,7 +188,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
                 missing.append(e)
                 if len(missing) >= 10:
                     break
-    return PartitionReport(total, expected, duplicates, missing)
+    return PartitionReport(total, expected, duplicates, missing, malformed)
 
 
 # -- text dump / load ------------------------------------------------------
@@ -222,10 +225,13 @@ def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
 
 
 def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
-    """Round-trip loader for the dump format.
+    """Check a dump against the construction, and return the construction.
 
-    Each factor's label and its twin (-a, a + b) both map to the factor, so
-    label_map matches build_factorisation's.
+    The header names the field.  The factor blocks must be the built
+    factors in number and order, each with the same index, label and edge
+    set.  Blank lines, "inf" for the index q, and the order of the points
+    in a line and of the edges in a block are free.  Any other difference
+    raises UsageError naming the header or the line.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -234,38 +240,63 @@ def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise UsageError("empty dump")
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    q = int(header["q"])
-    ctx = field(int(header["p"]), int(header["l"]))
-    if ctx.q != q:
-        raise UsageError(f"header q={q} does not match p^l={ctx.q}")
-    if header["modulus"] != ",".join(str(c) for c in ctx.modulus):
-        raise UsageError("modulus in dump does not match the canonical modulus")
+    try:
+        ctx = _header_field(lines[0])
+    except ValueError as exc:
+        raise UsageError(f"bad dump header {lines[0]!r}: {exc}") from None
+    q = ctx.q
+    fact = build_factorisation(ctx)
 
-    factors: list[OneFactor] = []
-    label_map: dict[tuple[int, int], int] = {}
-    label: tuple[int, int] | None = None
-    edges: list[Edge] = []
-
-    def flush():
-        if label is not None:
-            factors.append(OneFactor(label, tuple(sorted(edges))))
-
+    blocks: list[tuple[str, int, tuple[int, int], list[Edge]]] = []
     for ln in lines[1:]:
-        if ln.startswith("factor "):
-            flush()
+        try:
             parts = ln.split()
-            a = ctx.parse_element(parts[2].split("=", 1)[1])
-            b = ctx.parse_element(parts[3].split("=", 1)[1])
-            label = (a, b)
-            label_map[label] = label_map[(ctx.neg(a), ctx.add(a, b))] = int(parts[1])
-            edges = []
-        else:
-            vals = tuple(
-                sorted(q if tok == "inf" else int(tok) for tok in ln.split())
-            )
-            if len(vals) != 3:
-                raise UsageError(f"bad edge line: {ln!r}")
-            edges.append(vals)  # type: ignore[arg-type]
-    flush()
-    return Factorisation(ctx, factors, label_map)
+            if parts[0] == "factor":
+                if (len(parts) != 4 or not parts[2].startswith("alpha=")
+                        or not parts[3].startswith("beta=")):
+                    raise ValueError("expected factor INDEX alpha=A beta=B")
+                label = (ctx.parse_element(parts[2][len("alpha="):]),
+                         ctx.parse_element(parts[3][len("beta="):]))
+                blocks.append((ln, int(parts[1]), label, []))
+            elif not blocks:
+                raise ValueError("edge before the first factor")
+            elif len(parts) != 3:
+                raise ValueError("an edge has three points")
+            else:
+                blocks[-1][3].append(
+                    tuple(sorted(q if tok == "inf" else int(tok) for tok in parts))
+                )
+        except ValueError as exc:
+            raise UsageError(f"bad dump line {ln!r}: {exc}") from None
+
+    if len(blocks) != len(fact.factors):
+        raise UsageError(f"dump has {len(blocks)} factors, "
+                         f"the construction {len(fact.factors)}")
+    for i, ((ln, idx, label, edges), f) in enumerate(zip(blocks, fact.factors)):
+        if (idx, label) != (i, f.label):
+            a, b = f.label
+            raise UsageError(f"dump line {ln!r} is factor {i} "
+                             f"alpha={ctx.element_str(a)} beta={ctx.element_str(b)} "
+                             f"in the construction")
+        if tuple(sorted(edges)) != f.edges:
+            raise UsageError(f"edges under dump line {ln!r} differ from the "
+                             f"construction's")
+    return fact
+
+
+def _header_field(line: str) -> FiniteField:
+    header = {}
+    for part in line.split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"{part!r} is not key=value")
+        header[key] = value
+    for key in ("q", "p", "l", "modulus"):
+        if key not in header:
+            raise ValueError(f"no {key}=")
+    ctx = field(int(header["p"]), int(header["l"]))
+    if int(header["q"]) != ctx.q:
+        raise ValueError(f"q is not p^l={ctx.q}")
+    if header["modulus"] != ",".join(str(c) for c in ctx.modulus):
+        raise ValueError("modulus is not the canonical modulus")
+    return ctx

@@ -53,9 +53,6 @@ class UnionHypergraph:
                 incidence[v].append(i)
         return incidence
 
-    def degree_sequence(self) -> list[int]:
-        return sorted(len(inc) for inc in self.incidence())
-
 
 def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
     """Concatenate the edge lists of 2-3 pairwise distinct factors."""

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field as dc_field
 from .factorisation import (
     Factorisation,
     build_factorisation,
-    build_one_factor,
     require_residue,
     verify_partition,
 )
@@ -31,6 +30,7 @@ from .field import (
     InvariantError,
     OutOfRangeError,
     UsageError,
+    _distinct_prime_factors,
     field,
     is_prime,
 )
@@ -40,7 +40,6 @@ from .hypergraph import (
     find_isomorphism,
     is_connected,
     pair_overlap,
-    pair_overlap_algebraic,
     union_hypergraph,
 )
 
@@ -56,30 +55,14 @@ class EvenDegreeError(UsageError):
     """The scan requires an odd extension degree."""
 
 
-class WrongFieldError(UsageError):
-    """Operation requires an odd-degree extension of GF(5)."""
-
-
-class AlphaInSubfieldError(UsageError):
-    """The element must lie outside the prime subfield."""
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    primes = _distinct_prime_factors(q)
+    if len(primes) != 1:
         raise NotPrimePowerError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            l = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                l += 1
-            if r != 1:
-                raise NotPrimePowerError(f"{q} is not a prime power")
-            return p, l
-        p += 1
-    return q, 1
+    p, l = primes[0], 1
+    while p**l != q:
+        l += 1
+    return p, l
 
 
 def field_for(q: int) -> FiniteField:
@@ -379,7 +362,7 @@ def overlap_distribution(fact: Factorisation) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-# -- characteristic-2 and characteristic-5 scans -----------------------------
+# -- characteristic-2 scans --------------------------------------------------
 
 
 def char2_uniformity_scan(l: int) -> dict:
@@ -422,53 +405,21 @@ def char2_uniformity_scan(l: int) -> dict:
     }
 
 
-def char5_overlap_check(ctx: FiniteField, alpha: int) -> dict:
-    """Overlap-4 partners of the base factor over odd-degree GF(5^l).
-
-    For alpha outside the prime subfield, at least one of the labels
-    (a, -a), (a, 1-a), (a^2, 1-a^2) must give overlap 4 with the base
-    factor; which one is governed by the squareness of a^2 - a + 1 and
-    a^2 + a + 1, whose product is a^4 + a^2 + 1 (a square by cyclicity
-    when both are non-squares).
-    """
-    if ctx.p != 5 or ctx.l == 1 or ctx.l % 2 == 0:
-        raise WrongFieldError("requires an odd-degree extension of GF(5)")
-    if alpha < 5:
-        raise AlphaInSubfieldError("alpha must lie outside the prime subfield")
-    a = alpha
-    base = build_one_factor(ctx, 1, 0)
-    one = 1
-    a2 = ctx.mul(a, a)
-    d1 = ctx.add(ctx.sub(a2, a), one)  # a^2 - a + 1
-    d2 = ctx.add(ctx.add(a2, a), one)  # a^2 + a + 1
-    labels = [
-        ((a, ctx.neg(a)), d1),
-        ((a, ctx.sub(one, a)), d2),
-        ((ctx.mul(a, a), ctx.sub(one, ctx.mul(a, a))), None),
-    ]
-    candidates = []
-    some4 = False
-    for (la, lb), disc in labels:
-        overlap = pair_overlap(base, build_one_factor(ctx, la, lb)).count
-        some4 = some4 or overlap == 4
-        entry = {
-            "label": _label_json(ctx, (la, lb)),
-            "overlap": overlap,
-        }
-        if disc is not None:
-            entry["discriminant_square"] = ctx.is_square(disc)
-        candidates.append(entry)
-    a4 = ctx.mul(a2, a2)
-    product_ok = ctx.mul(d1, d2) == ctx.add(ctx.add(a4, a2), one)
-    return {
-        "alpha": ctx.element_str(a),
-        "candidates": candidates,
-        "some_overlap_4": some4,
-        "product_identity_ok": product_ok,
-    }
-
-
 # -- the suite ---------------------------------------------------------------
+
+
+def exit_status(discrepancies: int, indeterminates: int) -> int:
+    """1 for any discrepancy, else 2 for any indeterminate outcome, else 0."""
+    if discrepancies:
+        return 1
+    if indeterminates:
+        return 2
+    return 0
+
+
+def json_text(payload) -> str:
+    """The deterministic JSON form of every report."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass
@@ -562,11 +513,7 @@ class SuiteReport:
 
     @property
     def exit_code(self) -> int:
-        if self.discrepancies:
-            return 1
-        if self.indeterminates:
-            return 2
-        return 0
+        return exit_status(self.discrepancies, self.indeterminates)
 
     def to_json(self) -> str:
         payload = {
@@ -576,7 +523,7 @@ class SuiteReport:
             "discrepancies": self.discrepancies,
             "indeterminates": self.indeterminates,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(payload)
 
     def to_text(self) -> str:
         lines = []

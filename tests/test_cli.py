@@ -43,6 +43,14 @@ def test_check_c1f_exit_codes(capsys):
     assert "computed=false" in out
 
 
+def test_check_text_stats_have_no_elapsed_time(capsys):
+    # elapsed times appear only in suite reports under --timings
+    code, out, _ = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")
+    assert code == 0
+    assert "stats: {" in out
+    assert "elapsed_ms" not in out
+
+
 def test_check_u1f_json_witness(capsys):
     code, out, _ = run_cli(capsys, "check", "u1f", "--q", "11",
                            "--format", "json")

@@ -16,7 +16,7 @@ from trifactor.factorisation import (
     load_factorisation,
     verify_partition,
 )
-from trifactor.field import field
+from trifactor.field import UsageError, field
 from trifactor.projline import AlphaZeroError, orbit_map
 from trifactor.verifier import field_for
 
@@ -157,6 +157,19 @@ def test_verify_partition_detects_damage():
     assert rep.duplicates and rep.missing
 
 
+@pytest.mark.parametrize("bad", [(0, 1, 99), (0, 0, 1), (1, 0, 5)])
+def test_verify_partition_rejects_edges_off_the_line(bad):
+    # distinct but not a triple 0 <= a < b < c <= q of the line
+    from trifactor.factorisation import Factorisation, OneFactor
+
+    fact = build_factorisation(field(5))
+    first = fact.factors[0]
+    broken = [OneFactor(first.label, (bad,) + first.edges[1:]), *fact.factors[1:]]
+    rep = verify_partition(Factorisation(fact.ctx, broken, dict(fact.label_map)))
+    assert not rep.ok
+    assert rep.malformed == [bad]
+
+
 def test_dump_round_trip():
     for p, l in [(5, 1), (2, 3)]:
         fact = build_factorisation(field(p, l))
@@ -171,6 +184,39 @@ def test_load_registers_every_label(q):
     fact = build_factorisation(field_for(q))
     again = load_factorisation(dumps_factorisation(fact))
     assert again.label_map == fact.label_map
+
+
+def _edit_q5_dump(edit):
+    lines = dumps_factorisation(build_factorisation(field(5))).splitlines()
+    factor1 = lines.index("factor 1 alpha=1 beta=1")
+    if edit == "no q":
+        lines[0] = lines[0].replace("q=5 ", "")
+    elif edit == "header token":
+        lines[0] += " extra"
+    elif edit == "edge token":
+        lines[2] = "0 1 x"
+    elif edit == "edge first":
+        lines.insert(1, "2 3 4")
+    elif edit == "no beta":
+        lines[factor1] = "factor 1 alpha=1"
+    elif edit == "vertex 99":
+        lines[2] = "0 1 99"
+    elif edit == "alpha 0":
+        lines[factor1] = "factor 1 alpha=0 beta=1"
+    elif edit == "last dropped":
+        lines = lines[: max(i for i, ln in enumerate(lines) if ln.startswith("factor"))]
+    elif edit == "relabelled":
+        lines[factor1] = "factor 1 alpha=3 beta=2"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    "no q", "header token", "edge token", "edge first", "no beta",
+    "vertex 99", "alpha 0", "last dropped", "relabelled",
+])
+def test_load_rejects_dumps_that_differ_from_the_construction(edit):
+    with pytest.raises(UsageError):
+        load_factorisation(_edit_q5_dump(edit))
 
 
 def test_dump_human_variant_uses_inf():

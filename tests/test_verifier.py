@@ -4,16 +4,17 @@ import pytest
 
 from trifactor.factorisation import BadResidueError, build_factorisation
 from trifactor.field import UsageError, field
-from trifactor.hypergraph import find_hamilton_berge_cycle
+from trifactor.hypergraph import (
+    find_hamilton_berge_cycle,
+    pair_overlap,
+    pair_overlap_algebraic,
+)
 from trifactor.verifier import (
-    AlphaInSubfieldError,
     EvenDegreeError,
     NotPrimePowerError,
     OutOfRangeError,
     SuiteConfig,
-    WrongFieldError,
     char2_uniformity_scan,
-    char5_overlap_check,
     check_c1f,
     check_hb1f,
     check_u1f,
@@ -215,21 +216,20 @@ def test_char2_scan_poly_identity_small():
             assert satisfies == (acc == 0)
 
 
-def test_char5_overlap_check_all_alphas():
-    ctx = field(5, 3)
-    for alpha in range(5, ctx.q):
-        r = char5_overlap_check(ctx, alpha)
-        assert r["some_overlap_4"], alpha
-        assert r["product_identity_ok"], alpha
-
-
-def test_char5_overlap_check_rejections():
-    with pytest.raises(AlphaInSubfieldError):
-        char5_overlap_check(field(5, 3), 3)
-    with pytest.raises(WrongFieldError):
-        char5_overlap_check(field(2, 3), 2)
-    with pytest.raises(WrongFieldError):
-        char5_overlap_check(field(5), 2)
+def test_gf125_overlap_4_lemma(facts):
+    # for alpha outside GF(5), one of (a, -a), (a, 1 - a), (a^2, 1 - a^2)
+    # meets the base factor in 4 edges; both overlap paths must say so
+    fact = facts(125)
+    ctx = fact.ctx
+    base = fact.factors[fact.base_index]
+    for a in range(5, ctx.q):
+        a2 = ctx.mul(a, a)
+        counts = []
+        for la, lb in [(a, ctx.neg(a)), (a, ctx.sub(1, a)), (a2, ctx.sub(1, a2))]:
+            comb = pair_overlap(base, fact.factor(la, lb)).count
+            assert pair_overlap_algebraic(ctx, la, lb).count == comb, (a, la, lb)
+            counts.append(comb)
+        assert 4 in counts, a
 
 
 def test_parse_config_round_trip():
