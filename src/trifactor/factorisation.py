@@ -116,6 +116,13 @@ class Factorisation:
     def factor(self, a: int, b: int) -> OneFactor:
         return self.factors[self.label_map[(a, b)]]
 
+    def image_index(self, alpha: int, beta: int, i: int) -> int:
+        """Index of factor i moved by x -> alpha x + beta (infinity fixed):
+        label (c, d) becomes (alpha c, alpha d + beta)."""
+        ctx = self.ctx
+        c, d = self.factors[i].label
+        return self.label_map[(ctx.mul(alpha, c), ctx.add(ctx.mul(alpha, d), beta))]
+
 
 def build_factorisation(ctx: FiniteField) -> Factorisation:
     """Every distinct factor, in label enumeration order (a, then b).

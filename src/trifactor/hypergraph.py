@@ -478,6 +478,8 @@ def validate_berge_cycle(h: UnionHypergraph, result: BergeSearchResult) -> bool:
         return False
     if len(es) != h.n or len(set(es)) != h.n:
         return False
+    if not set(es).issubset(range(len(h.edges))):
+        return False
     for i, ei in enumerate(es):
         a = vs[i]
         b = vs[(i + 1) % h.n]

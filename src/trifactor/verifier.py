@@ -12,6 +12,7 @@ affine change of coordinates that maps its first member there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -35,12 +36,14 @@ from .field import (
     is_prime,
 )
 from .hypergraph import (
+    BergeSearchResult,
     components,
     find_hamilton_berge_cycle,
     find_isomorphism,
     is_connected,
     pair_overlap,
     union_hypergraph,
+    validate_berge_cycle,
 )
 
 SUPPORTED_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
@@ -251,14 +254,60 @@ def _hb1f_worker_init(p: int, l: int) -> None:
 def _hb1f_check_triples(
     fact: Factorisation, triples, time_budget: float
 ) -> list[tuple[tuple[int, int, int], str]]:
-    n = fact.ctx.q + 1
+    """Each triple with "found", "none", "timeout" or "disconnected".
+
+    Maps x -> a x + b permute the factors.  A triple's key is its least image
+    (0, i, j) under the inverse maps of its members' labels (a, b) and
+    (-a, a + b), so two triples share a key when such a map joins them.  The
+    first cycle found for a key is moved onto later triples with that key in
+    place of a search.  Every cycle is replayed on the triple's own edges
+    before it counts; a failed replay is an internal fault.
+    """
+    ctx = fact.ctx
+    n = ctx.q + 1
+
+    @functools.cache
+    def points(a, b):  # images of the points under x -> a x + b
+        return [ctx.add(ctx.mul(a, x), b) for x in range(ctx.q)] + [ctx.q]
+
+    @functools.cache
+    def moved(m, o):  # o under the inverses of m's two label maps
+        a, b = fact.factors[m].label
+        i = fact.image_index(ctx.inv(a), ctx.neg(ctx.div(b, a)), o)
+        return i, fact.image_index(ctx.neg(1), 1, i)  # (-a, a + b) adds x -> 1 - x
+
+    found = {}  # key -> (a, b), vertices and edges of its first cycle
     out = []
     for t in triples:
+        key, m, twin = min(
+            (tuple(sorted(pair)), m, twin)
+            for m in t
+            for twin, pair in enumerate(zip(*(moved(m, o) for o in t if o != m)))
+        )
+        a, b = fact.factors[m].label
+        if twin:
+            a, b = ctx.neg(a), ctx.add(a, b)
         h = union_hypergraph(n, [fact.factors[i] for i in t])
-        if not is_connected(h):
+        if key in found:
+            a0, b0, vertices, edges = found[key]
+            scale = ctx.div(a, a0)  # the first cycle's triple onto t
+            img = points(scale, ctx.sub(b, ctx.mul(scale, b0)))
+            index = {e: i for i, e in enumerate(h.edges)}
+            # an edge that misses h gets index -1, which the replay rejects
+            result = BergeSearchResult("found", [img[v] for v in vertices], [
+                index.get(tuple(sorted((img[x], img[y], img[z]))), -1)
+                for x, y, z in edges])
+        elif not is_connected(h):
             out.append((t, "disconnected"))
+            continue
         else:
-            out.append((t, find_hamilton_berge_cycle(h, time_budget).status))
+            result = find_hamilton_berge_cycle(h, time_budget)
+            if result.found:
+                found[key] = (a, b, result.vertices,
+                              [h.edges[i] for i in result.edge_indices])
+        if result.found and not validate_berge_cycle(h, result):
+            raise InvariantError(f"the Berge cycle of triple {t} fails its replay")
+        out.append((t, result.status))
     return out
 
 
@@ -280,10 +329,11 @@ def check_hb1f(
     Connectivity is checked first as the cheap necessary condition; a
     disconnected triple is a definite counterexample and is flagged as
     such.  A search timeout makes the verdict indeterminate rather than
-    false.  Sampled mode draws `samples` random triples from the given
-    seed and searches each distinct one once (stats: tasks = samples,
-    distinct_tasks, and timeouts among the distinct triples); reduced mode
-    fixes the first factor to the base factor.
+    false.  A triple counts as found only once a cycle has been replayed on
+    its own edges (see _hb1f_check_triples).  Sampled mode draws `samples`
+    random triples from the given seed and certifies each distinct one once
+    (stats: tasks = samples, distinct_tasks, and timeouts among the distinct
+    triples); reduced mode fixes the first factor to the base factor.
     """
     ctx = fact.ctx
     q = ctx.q
@@ -301,7 +351,7 @@ def check_hb1f(
                              f"factors, got {samples} and {nf}")
         rng = random.Random(seed)
         drawn = [tuple(sorted(rng.sample(range(nf), 3))) for _ in range(samples)]
-        # draws repeat; search each distinct triple once, in first-draw order
+        # draws repeat; certify each distinct triple once, in first-draw order
         triples = list(dict.fromkeys(drawn))
     else:
         raise UsageError(f"unknown mode {mode!r}")

@@ -206,6 +206,16 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
     assert err == "trifactor: internal error: ValueError: matrix is singular\n"
 
 
+def test_failed_berge_replay_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr("trifactor.verifier.validate_berge_cycle",
+                        lambda h, result: False)
+    code, out, err = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("trifactor: internal error: InvariantError: ")
+
+
 def test_single_label_commands_build_no_factorisation(monkeypatch, capsys):
     import trifactor.cli
 

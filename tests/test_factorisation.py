@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,20 @@ def test_affine_images_match_orbit_construction(q):
     assert fact.label_map == label_map
     for a, b in [(1, 0), labels[-1], (ctx.q - 1, ctx.q - 1)]:
         assert build_one_factor(ctx, a, b).edges == edge_lists[label_map[(a, b)]]
+
+
+@pytest.mark.parametrize("q", [5, 8, 11, 17, 32, 125])
+def test_image_index_moves_the_edges(q):
+    # the label action (c, d) -> (alpha c, alpha d + beta) against the points
+    fact = build_factorisation(field_for(q))
+    ctx = fact.ctx
+    rng = random.Random(q)
+    for _ in range(300):
+        alpha, beta = rng.randrange(1, q), rng.randrange(q)
+        i = rng.randrange(len(fact.factors))
+        img = [ctx.add(ctx.mul(alpha, x), beta) for x in range(q)] + [q]
+        moved = {tuple(sorted(img[v] for v in e)) for e in fact.factors[i].edges}
+        assert set(fact.factors[fact.image_index(alpha, beta, i)].edges) == moved
 
 
 def test_orbit_check_survives_python_O():

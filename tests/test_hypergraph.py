@@ -6,6 +6,7 @@ import pytest
 from trifactor.factorisation import build_factorisation, build_one_factor
 from trifactor.field import field
 from trifactor.hypergraph import (
+    BergeSearchResult,
     DuplicateFactorError,
     IsBaseFactorError,
     SameFactorError,
@@ -277,3 +278,15 @@ def test_berge_witness_replay_rejects_corruption():
     bad = type(r)("found", r.vertices[:], r.edge_indices[:])
     bad.vertices[0], bad.vertices[1] = bad.vertices[1], bad.vertices[0]
     assert not validate_berge_cycle(h, bad)
+
+
+def test_berge_witness_replay_rejects_edge_indices_outside_the_union():
+    h = UnionHypergraph(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3)])
+
+    def cycle(edge_indices):
+        return BergeSearchResult("found", [0, 1, 2, 3], edge_indices)
+
+    assert validate_berge_cycle(h, cycle([1, 0, 2, 3]))
+    # -4 names edge 0 again: it would host two pairs and (0, 1, 3) none
+    assert not validate_berge_cycle(h, cycle([0, -4, 2, 3]))
+    assert not validate_berge_cycle(h, cycle([1, 0, 2, 4]))

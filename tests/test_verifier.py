@@ -3,11 +3,12 @@ import json
 import pytest
 
 from trifactor.factorisation import BadResidueError, build_factorisation
-from trifactor.field import UsageError, field
+from trifactor.field import InvariantError, UsageError, field
 from trifactor.hypergraph import (
     find_hamilton_berge_cycle,
     pair_overlap,
     pair_overlap_algebraic,
+    validate_berge_cycle,
 )
 from trifactor.verifier import (
     EvenDegreeError,
@@ -144,18 +145,35 @@ def test_check_hb1f_sampled_deterministic(facts):
 
 
 def test_check_hb1f_sampled_searches_each_distinct_triple_once(facts, monkeypatch):
+    # "once" means certified once: each distinct triple's cycle is replayed
+    # once, and only the first triple of each affine class is searched
+    import trifactor.verifier as verifier
+
     searched = []
+    replayed = []
 
     def counting_search(h, *args):
         searched.append(tuple(h.edges))
         return find_hamilton_berge_cycle(h, *args)
 
-    monkeypatch.setattr("trifactor.verifier.find_hamilton_berge_cycle",
-                        counting_search)
+    def counting_replay(h, result):
+        replayed.append(tuple(h.edges))
+        return validate_berge_cycle(h, result)
+
+    monkeypatch.setattr(verifier, "find_hamilton_berge_cycle", counting_search)
+    monkeypatch.setattr(verifier, "validate_berge_cycle", counting_replay)
     v = check_hb1f(facts(8), mode="sampled", samples=1000, seed=7)
     assert v.computed is True
     assert v.stats["tasks"] == 1000 and v.stats["distinct_tasks"] == 872
-    assert len(searched) == len(set(searched)) == 872
+    assert len(searched) == len(set(searched)) < 872
+    assert len(replayed) == len(set(replayed)) == 872
+
+
+def test_check_hb1f_failed_replay_is_an_internal_fault(facts, monkeypatch):
+    monkeypatch.setattr("trifactor.verifier.validate_berge_cycle",
+                        lambda h, result: False)
+    with pytest.raises(InvariantError, match="fails its replay"):
+        check_hb1f(facts(8), mode="full")
 
 
 def test_check_hb1f_report_independent_of_workers(facts):
