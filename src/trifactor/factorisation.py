@@ -9,17 +9,22 @@ is its affine image.  Labels (a, b) and (-a, a + b) give the same factor;
 ranging over all labels (a in F*, b in F) and keeping the first of each
 twin pair in enumeration order yields q(q-1)/2 distinct factors.
 verify_partition checks independently that they partition all triples.
+
+PΓL(2,q) permutes the factors, and Factorisation.image gives that action in
+O(1) from a point permutation.  Factorisation.symmetry lists N, the
+stabiliser of the base factor, with its orbits on the factors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Iterable, TextIO
 
 from .field import FiniteField, InvariantError, UsageError, field
-from .projline import AlphaZeroError, base_map
+from .projline import AlphaZeroError, Mobius, base_map
 
 Edge = tuple[int, int, int]
 
@@ -62,7 +67,9 @@ def _orbit_edges(perm: tuple[int, ...], n: int) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
+@functools.cache
 def _base_edges(ctx: FiniteField) -> tuple[Edge, ...]:
+    """The base factor's edges, computed once per field."""
     require_residue(ctx.q)
     return _orbit_edges(base_map(ctx).permutation(), ctx.q + 1)
 
@@ -116,12 +123,131 @@ class Factorisation:
     def factor(self, a: int, b: int) -> OneFactor:
         return self.factors[self.label_map[(a, b)]]
 
-    def image_index(self, alpha: int, beta: int, i: int) -> int:
-        """Index of factor i moved by x -> alpha x + beta (infinity fixed):
-        label (c, d) becomes (alpha c, alpha d + beta)."""
+    @functools.cached_property
+    def _partners(self) -> list[tuple[int, int]]:
+        """The other two points of the base edge through each point."""
+        partners = [(0, 0)] * (self.ctx.q + 1)
+        for x, y, z in _base_edges(self.ctx):
+            partners[x], partners[y], partners[z] = (y, z), (x, z), (x, y)
+        return partners
+
+    def image(self, perm: tuple[int, ...], i: int) -> int:
+        """Index of factor i moved by perm, the point permutation of an
+        element of PΓL(2,q).
+
+        Factor (c, d) is the base factor moved by x -> c x + d, so its edge
+        through infinity is {inf, d, c + d}.  The image's edge through
+        infinity is perm of factor i's edge through u = perm^-1(inf); with
+        its other two points y, z the image is the factor (z - y, y).
+        """
         ctx = self.ctx
-        c, d = self.factors[i].label
-        return self.label_map[(ctx.mul(alpha, c), ctx.add(ctx.mul(alpha, d), beta))]
+        q = ctx.q
+        a, b = self.factors[i].label
+        u = perm.index(q)
+        w = q if u == q else ctx.div(ctx.sub(u, b), a)  # base point under u
+        v, x = self._partners[w]
+        y = perm[q if v == q else ctx.add(ctx.mul(a, v), b)]
+        z = perm[q if x == q else ctx.add(ctx.mul(a, x), b)]
+        return self.label_map[(ctx.sub(z, y), y)]
+
+    @functools.cached_property
+    def symmetry(self) -> "Symmetry":
+        """N and its orbits on the factors, built on first use."""
+        return Symmetry(self)
+
+
+def _torus_element(ctx: FiniteField) -> tuple[int, ...]:
+    """x I + F for the first x whose point permutation has a cycle of
+    length q + 1, F the base map's matrix; it generates the torus of F."""
+    q = ctx.q
+    for x in range(q):
+        perm = Mobius(ctx, x, 1, ctx.neg(1), ctx.add(x, 1)).permutation()
+        length, v = 1, perm[q]
+        while v != q:
+            length, v = length + 1, perm[v]
+        if length == q + 1:
+            return perm
+    raise InvariantError(f"no torus element of order {q + 1}")
+
+
+class Symmetry:
+    """N, the stabiliser of the base factor in PΓL(2,q), on the factors.
+
+    N is generated by sigma: x -> 1/x (which inverts the base map), the
+    torus element and Frobenius, and has order 2(q+1)l.  It is small, so
+    it is listed outright: elements[k] is a point permutation, elements[0]
+    the identity, and elements[inverse[k]] its inverse.  rep[i] is the least
+    factor of i's N-orbit and elements[tau[i]] moves i there; stabiliser[r]
+    lists the elements that fix the representative r.  Each generator must
+    map the base factor onto itself, N must have its order, and the orbits
+    must pass orbit-stabiliser and partition the factors, or InvariantError.
+    """
+
+    def __init__(self, fact: Factorisation):
+        ctx = fact.ctx
+        q = ctx.q
+        base = set(_base_edges(ctx))
+        gens = [Mobius(ctx, 0, 1, 1, 0).permutation(), _torus_element(ctx),
+                tuple(ctx.frobenius(x) for x in range(q)) + (q,)]
+        for g in gens:
+            if {tuple(sorted((g[x], g[y], g[z]))) for x, y, z in base} != base:
+                raise InvariantError(f"{g} does not fix the base factor")
+        order = 2 * (q + 1) * ctx.l
+        self.elements: list[tuple[int, ...]] = [tuple(range(q + 1))]
+        index = {self.elements[0]: 0}
+        for e in self.elements:  # grows as new products appear
+            for g in gens:
+                ge = tuple(g[v] for v in e)
+                if ge not in index:
+                    if len(index) == order:
+                        raise InvariantError(f"N has more than {order} elements")
+                    index[ge] = len(self.elements)
+                    self.elements.append(ge)
+        self.inverse = [index[tuple(sorted(range(q + 1), key=e.__getitem__))]
+                        for e in self.elements]
+
+        nf = len(fact.factors)
+        self.rep: list[int] = [-1] * nf
+        self.tau: list[int] = [-1] * nf
+        self.stabiliser: dict[int, list[int]] = {}
+        covered = 0
+        for r in range(nf):
+            if self.rep[r] >= 0:
+                continue
+            orbit: set[int] = set()
+            stab = []
+            for k, e in enumerate(self.elements):
+                x = fact.image(e, r)
+                orbit.add(x)
+                if x == r:
+                    stab.append(k)
+                if self.rep[x] < 0:
+                    self.rep[x], self.tau[x] = r, self.inverse[k]
+            if len(orbit) * len(stab) != order:
+                raise InvariantError(f"orbit of factor {r}: {len(orbit)} factors "
+                                     f"and a stabiliser of {len(stab)} in N of "
+                                     f"order {order}")
+            self.stabiliser[r] = stab
+            covered += len(orbit)
+        if covered != nf:
+            raise InvariantError(f"N-orbits cover {covered} of {nf} factors")
+        self._fact = fact
+
+    def canonical(self, x: int, y: int) -> tuple[tuple[int, int], int, int]:
+        """((r, z), s, t) with s∘t moving {x, y} to {r, z}, the least such
+        pair over r = rep of x or of y, t = tau of that factor and s in the
+        stabiliser of r; equal for two pairs exactly when N joins them."""
+        if self.rep[x] != self.rep[y]:
+            return self._orient(*sorted((x, y), key=self.rep.__getitem__))
+        return min(self._orient(x, y), self._orient(y, x))
+
+    def _orient(self, x: int, y: int) -> tuple[tuple[int, int], int, int]:
+        image = self._fact.image
+        t = self.tau[x]
+        y = image(self.elements[t], y)
+        z, s = min((image(self.elements[s], y), s)
+                   for s in self.stabiliser[self.rep[x]])
+        return (self.rep[x], z), s, t
 
 
 def build_factorisation(ctx: FiniteField) -> Factorisation:

@@ -244,58 +244,77 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
 # -- Hamilton-Berge sweeps ---------------------------------------------------
 
 _WORKER_FACT: Factorisation | None = None
+_WORKER_FOUND: dict = {}
 
 
 def _hb1f_worker_init(p: int, l: int) -> None:
-    global _WORKER_FACT
+    global _WORKER_FACT, _WORKER_FOUND
     _WORKER_FACT = build_factorisation(field(p, l))
+    _WORKER_FACT.symmetry  # built once; chunks share it and _WORKER_FOUND
+    _WORKER_FOUND = {}
 
 
 def _hb1f_check_triples(
-    fact: Factorisation, triples, time_budget: float
+    fact: Factorisation, triples, time_budget: float, found: dict | None = None
 ) -> list[tuple[tuple[int, int, int], str]]:
     """Each triple with "found", "none", "timeout" or "disconnected".
 
-    Maps x -> a x + b permute the factors.  A triple's key is its least image
-    (0, i, j) under the inverse maps of its members' labels (a, b) and
-    (-a, a + b), so two triples share a key when such a map joins them.  The
-    first cycle found for a key is moved onto later triples with that key in
+    PΓL(2,q) permutes the factors.  For each member m of a triple, the
+    inverse of the map x -> a x + b of m's label (a, b) moves m to the base
+    factor; N, the base factor's stabiliser, then puts the other two in the
+    canonical form of Symmetry.canonical.  The least form over the members
+    is the triple's key, and two triples share it exactly when an element
+    of PΓL(2,q) joins them.  The first cycle found for a key is kept in
+    `found` in canonical coordinates, so a pool worker can pass the same
+    dict for all its chunks, and moved onto later triples with that key in
     place of a search.  Every cycle is replayed on the triple's own edges
     before it counts; a failed replay is an internal fault.
     """
     ctx = fact.ctx
-    n = ctx.q + 1
+    q = ctx.q
+    n = q + 1
+    sym = fact.symmetry
+    elements, inverse = sym.elements, sym.inverse
+    bit = [1 << v for v in range(n)]
 
     @functools.cache
-    def points(a, b):  # images of the points under x -> a x + b
-        return [ctx.add(ctx.mul(a, x), b) for x in range(ctx.q)] + [ctx.q]
-
-    @functools.cache
-    def moved(m, o):  # o under the inverses of m's two label maps
+    def affine(m):  # x -> a x + b of m's label and its inverse, on points
         a, b = fact.factors[m].label
-        i = fact.image_index(ctx.inv(a), ctx.neg(ctx.div(b, a)), o)
-        return i, fact.image_index(ctx.neg(1), 1, i)  # (-a, a + b) adds x -> 1 - x
+        to_m = [ctx.add(ctx.mul(a, x), b) for x in range(q)] + [q]
+        from_m = [0] * n
+        for x, y in enumerate(to_m):
+            from_m[y] = x
+        return to_m, tuple(from_m)
 
-    found = {}  # key -> (a, b), vertices and edges of its first cycle
+    @functools.cache
+    def moved(m, o):
+        return fact.image(affine(m)[1], o)
+
+    canonical = functools.lru_cache(maxsize=1 << 16)(sym.canonical)
+
+    @functools.cache
+    def codes(i):  # edge codes of factor i that ignore the order of points
+        return tuple(bit[x] | bit[y] | bit[z] for x, y, z in fact.factors[i].edges)
+
+    found = {} if found is None else found  # key -> canonical cycle
     out = []
     for t in triples:
-        key, m, twin = min(
-            (tuple(sorted(pair)), m, twin)
-            for m in t
-            for twin, pair in enumerate(zip(*(moved(m, o) for o in t if o != m)))
-        )
-        a, b = fact.factors[m].label
-        if twin:
-            a, b = ctx.neg(a), ctx.add(a, b)
-        h = union_hypergraph(n, [fact.factors[i] for i in t])
+        i, j, k = t
+        key, s, tau, m = min(
+            canonical(min(x, y), max(x, y)) + (m,)
+            for m, x, y in ((i, moved(i, j), moved(i, k)),
+                            (j, moved(j, i), moved(j, k)),
+                            (k, moved(k, i), moved(k, j))))
+        h = union_hypergraph(n, [fact.factors[x] for x in t])
         if key in found:
-            a0, b0, vertices, edges = found[key]
-            scale = ctx.div(a, a0)  # the first cycle's triple onto t
-            img = points(scale, ctx.sub(b, ctx.mul(scale, b0)))
-            index = {e: i for i, e in enumerate(h.edges)}
+            vertices, edges = found[key]
+            # the inverse of s∘tau∘(x -> a x + b)^-1, which moved t to the key
+            to_m, t_inv = affine(m)[0], elements[inverse[tau]]
+            img = [to_m[t_inv[v]] for v in elements[inverse[s]]]
+            index = dict(zip(codes(i) + codes(j) + codes(k), range(n)))
             # an edge that misses h gets index -1, which the replay rejects
             result = BergeSearchResult("found", [img[v] for v in vertices], [
-                index.get(tuple(sorted((img[x], img[y], img[z]))), -1)
+                index.get(bit[img[x]] | bit[img[y]] | bit[img[z]], -1)
                 for x, y, z in edges])
         elif not is_connected(h):
             out.append((t, "disconnected"))
@@ -303,8 +322,11 @@ def _hb1f_check_triples(
         else:
             result = find_hamilton_berge_cycle(h, time_budget)
             if result.found:
-                found[key] = (a, b, result.vertices,
-                              [h.edges[i] for i in result.edge_indices])
+                g, t_fwd = elements[s], elements[tau]
+                img = [g[t_fwd[v]] for v in affine(m)[1]]
+                found[key] = ([img[v] for v in result.vertices],
+                              [tuple(img[v] for v in h.edges[e])
+                               for e in result.edge_indices])
         if result.found and not validate_berge_cycle(h, result):
             raise InvariantError(f"the Berge cycle of triple {t} fails its replay")
         out.append((t, result.status))
@@ -313,7 +335,7 @@ def _hb1f_check_triples(
 
 def _hb1f_worker_chunk(args):
     triples, time_budget = args
-    return _hb1f_check_triples(_WORKER_FACT, triples, time_budget)
+    return _hb1f_check_triples(_WORKER_FACT, triples, time_budget, _WORKER_FOUND)
 
 
 def check_hb1f(

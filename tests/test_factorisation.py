@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import trifactor
+import trifactor.factorisation as factorisation
 from trifactor.factorisation import (
     BadResidueError,
     build_factorisation,
@@ -17,8 +18,8 @@ from trifactor.factorisation import (
     load_factorisation,
     verify_partition,
 )
-from trifactor.field import UsageError, field
-from trifactor.projline import AlphaZeroError, orbit_map
+from trifactor.field import InvariantError, UsageError, field
+from trifactor.projline import AlphaZeroError, Mobius, affine_map, base_map, orbit_map
 from trifactor.verifier import field_for
 
 
@@ -125,16 +126,49 @@ def test_affine_images_match_orbit_construction(q):
 
 @pytest.mark.parametrize("q", [5, 8, 11, 17, 32, 125])
 def test_image_index_moves_the_edges(q):
-    # the label action (c, d) -> (alpha c, alpha d + beta) against the points
+    # the factor action of random words in sigma, a torus element, Frobenius
+    # and affine maps, against the moved edge set
     fact = build_factorisation(field_for(q))
     ctx = fact.ctx
     rng = random.Random(q)
+    torus = Mobius(ctx, 1, 1, ctx.neg(1), ctx.add(1, 1))  # I + F, F the base map
+    letters = [Mobius(ctx, 0, 1, 1, 0).permutation(), torus.permutation(),
+               tuple(ctx.frobenius(x) for x in range(q)) + (q,)]
     for _ in range(300):
-        alpha, beta = rng.randrange(1, q), rng.randrange(q)
+        g = tuple(range(q + 1))
+        for _ in range(rng.randrange(1, 6)):
+            letter = rng.choice(letters + [affine_map(ctx, rng.randrange(1, q),
+                                                      rng.randrange(q)).permutation()])
+            g = tuple(letter[v] for v in g)
         i = rng.randrange(len(fact.factors))
-        img = [ctx.add(ctx.mul(alpha, x), beta) for x in range(q)] + [q]
-        moved = {tuple(sorted(img[v] for v in e)) for e in fact.factors[i].edges}
-        assert set(fact.factors[fact.image_index(alpha, beta, i)].edges) == moved
+        moved = {tuple(sorted(g[v] for v in e)) for e in fact.factors[i].edges}
+        assert set(fact.factors[fact.image(g, i)].edges) == moved
+
+
+@pytest.mark.parametrize("q, orbits", [(5, 3), (11, 6), (17, 9), (29, 15),
+                                       (8, 2), (32, 4), (128, 10), (125, 23)])
+def test_symmetry_orbits_certify_themselves(q, orbits):
+    # N-orbits on factors: (q+1)/2 at primes, 23 at q=125, 2, 4, 10 at 2^p
+    fact = build_factorisation(field_for(q))
+    sym = fact.symmetry
+    order = 2 * (q + 1) * fact.ctx.l
+    assert len(sym.elements) == len(set(sym.elements)) == order
+    assert len(sym.stabiliser) == orbits
+    sizes = {r: sym.rep.count(r) for r in sym.stabiliser}
+    assert sum(sizes.values()) == len(fact.factors)
+    for r, stab in sym.stabiliser.items():
+        assert sizes[r] * len(stab) == order
+        assert all(fact.image(sym.elements[k], r) == r for k in stab)
+    for i in range(len(fact.factors)):
+        assert fact.image(sym.elements[sym.tau[i]], i) == sym.rep[i]
+
+
+def test_symmetry_rejects_a_short_torus_element(monkeypatch):
+    # the base map F has order 3, not q + 1 = 12, so N comes out too small
+    monkeypatch.setattr(factorisation, "_torus_element",
+                        lambda ctx: base_map(ctx).permutation())
+    with pytest.raises(InvariantError, match="order 24"):
+        build_factorisation(field_for(11)).symmetry
 
 
 def test_orbit_check_survives_python_O():

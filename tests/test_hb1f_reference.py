@@ -3,7 +3,7 @@
 reference_check_triples is the earlier body of _hb1f_check_triples, kept as
 the reference: it checks connectivity and then searches every triple.  The
 loop now moves a cycle found on one triple onto the later triples of its
-affine class, so its (triple, status) list must equal the reference's in
+PΓL(2,q) class, so its (triple, status) list must equal the reference's in
 every mode, and a full sweep must search once per class.
 """
 
@@ -18,6 +18,7 @@ from trifactor.hypergraph import (
     is_connected,
     union_hypergraph,
 )
+from trifactor.projline import Mobius, affine_map
 from trifactor.verifier import check_hb1f
 
 
@@ -57,9 +58,9 @@ def sweep_against_reference(monkeypatch, fact, mode, **kwargs):
     return got, reference_check_triples(fact, triples, time_budget), len(searches)
 
 
-@pytest.mark.parametrize("q, classes", [(5, 8), (8, 65), (11, 252)])
+@pytest.mark.parametrize("q, classes", [(5, 4), (8, 6), (11, 37)])
 def test_full_sweep_matches_reference(factorisations, monkeypatch, q, classes):
-    # one search per affine class (counted by brute force below for q <= 8)
+    # one search per PΓL(2,q) class (counted by brute force below)
     got, want, searches = sweep_against_reference(monkeypatch, factorisations(q),
                                                   "full")
     assert got == want
@@ -90,7 +91,8 @@ def test_q125_subfield_triple_and_images_match_reference(factorisations):
     triples = [subfield, connected]
     for t in (subfield, connected):
         alpha, beta = rng.randrange(5, 125), rng.randrange(125)  # alpha outside GF(5)
-        triples.append(tuple(sorted(fact.image_index(alpha, beta, i) for i in t)))
+        g = affine_map(fact.ctx, alpha, beta).permutation()
+        triples.append(tuple(sorted(fact.image(g, i) for i in t)))
     triples.append(subfield)
     got = verifier._hb1f_check_triples(fact, triples, 10.0)
     assert got == reference_check_triples(fact, triples, 10.0)
@@ -98,17 +100,31 @@ def test_q125_subfield_triple_and_images_match_reference(factorisations):
         "disconnected", "found", "disconnected", "found", "disconnected"]
 
 
-@pytest.mark.parametrize("q, classes", [(5, 8), (8, 65)])
+@pytest.mark.parametrize("q, classes", [(5, 4), (8, 6), (11, 37)])
 def test_affine_classes_by_brute_force(factorisations, q, classes):
-    # every triple's images under all x -> a x + b, removed class by class
+    # Union-find over all triples, joined by generators of PΓL(2,q) acting
+    # on edge sets: every translation, a primitive scaling, x -> 1/x and
+    # Frobenius.  Nothing here uses Factorisation.image or its symmetry.
     fact = factorisations(q)
-    triples = set(itertools.combinations(range(len(fact.factors)), 3))
-    orbits = 0
-    while triples:
-        t = triples.pop()
-        orbits += 1
-        for alpha in range(1, q):
-            for beta in range(q):
-                triples.discard(tuple(sorted(fact.image_index(alpha, beta, i)
-                                             for i in t)))
-    assert orbits == classes
+    ctx = fact.ctx
+    primitive = next(g for g in range(2, q) if len({ctx.pow(g, e)
+                                                     for e in range(q - 1)}) == q - 1)
+    gens = [affine_map(ctx, 1, c).permutation() for c in range(1, q)]
+    gens += [affine_map(ctx, primitive, 0).permutation(),
+             Mobius(ctx, 0, 1, 1, 0).permutation(),
+             tuple(ctx.frobenius(x) for x in range(q)) + (q,)]
+    by_edges = {frozenset(f.edges): i for i, f in enumerate(fact.factors)}
+    factor_maps = [[by_edges[frozenset(tuple(sorted(g[v] for v in e))
+                                       for e in f.edges)]
+                    for f in fact.factors] for g in gens]
+    parent = {t: t for t in itertools.combinations(range(len(fact.factors)), 3)}
+
+    def root(t):
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    for t in parent:
+        for fm in factor_maps:
+            parent[root(t)] = root(tuple(sorted(fm[i] for i in t)))
+    assert len({root(t) for t in parent}) == classes

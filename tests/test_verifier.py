@@ -146,7 +146,7 @@ def test_check_hb1f_sampled_deterministic(facts):
 
 def test_check_hb1f_sampled_searches_each_distinct_triple_once(facts, monkeypatch):
     # "once" means certified once: each distinct triple's cycle is replayed
-    # once, and only the first triple of each affine class is searched
+    # once, and only the first triple of each PΓL(2,q) class is searched
     import trifactor.verifier as verifier
 
     searched = []
@@ -181,6 +181,15 @@ def test_check_hb1f_report_independent_of_workers(facts):
     one = check_hb1f(facts(8), mode="full", workers=1)
     two = check_hb1f(facts(8), mode="full", workers=2)
     assert one.stats["tasks"] == 3276
+    assert one.to_dict() == two.to_dict()
+
+
+def test_check_hb1f_pool_keeps_the_replay(facts):
+    # 9,045 reduced triples go to the pool in chunks; each worker keeps its
+    # found cycles across its chunks, and the report is the same
+    one = check_hb1f(facts(17), mode="reduced", workers=1)
+    two = check_hb1f(facts(17), mode="reduced", workers=2)
+    assert one.stats["tasks"] == 9045 and one.computed is False
     assert one.to_dict() == two.to_dict()
 
 
