@@ -10,8 +10,8 @@ ranging over all labels (a in F*, b in F) and keeping the first of each
 twin pair in enumeration order yields q(q-1)/2 distinct factors.
 verify_partition checks independently that they partition all triples.
 
-PΓL(2,q) permutes the factors, and Factorisation.image gives that action in
-O(1) from a point permutation.  Factorisation.symmetry lists N, the
+PΓL(2,q) permutes the factors, and Factorisation.image gives that action
+from a point permutation with O(1) field operations.  Factorisation.symmetry lists N, the
 stabiliser of the base factor, with its orbits on the factors.
 """
 

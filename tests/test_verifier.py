@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -191,6 +192,32 @@ def test_check_hb1f_pool_keeps_the_replay(facts):
     two = check_hb1f(facts(17), mode="reduced", workers=2)
     assert one.stats["tasks"] == 9045 and one.computed is False
     assert one.to_dict() == two.to_dict()
+
+
+def test_check_hb1f_worker_keeps_found_cycles_across_chunks(monkeypatch):
+    # the pool's functions, run in this process: 250-triple chunks search
+    # exactly as often as one call over all the triples
+    import trifactor.verifier as verifier
+
+    monkeypatch.setattr(verifier, "_WORKER_FACT", None)
+    monkeypatch.setattr(verifier, "_WORKER_FOUND", {})
+    searches = []
+
+    def counting_search(h, *args):
+        searches.append(h)
+        return find_hamilton_berge_cycle(h, *args)
+
+    monkeypatch.setattr(verifier, "find_hamilton_berge_cycle", counting_search)
+    verifier._hb1f_worker_init(17, 1)
+    fact = verifier._WORKER_FACT
+    triples = [(0, i, j) for i, j in itertools.combinations(range(1, len(fact)), 2)]
+    chunked = []
+    for start in range(0, len(triples), 250):
+        chunked += verifier._hb1f_worker_chunk((triples[start:start + 250], 10.0))
+    in_chunks = len(searches)
+    searches.clear()
+    assert chunked == verifier._hb1f_check_triples(fact, triples, 10.0)
+    assert in_chunks == len(searches) < 250
 
 
 def test_overlap_distribution(facts):
