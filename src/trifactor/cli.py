@@ -11,7 +11,6 @@ index q is infinity) and as "inf" in text.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .factorisation import build_factorisation, build_one_factor, dump_factorisation
@@ -82,16 +81,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _workers(default: int) -> int:
-    text = os.environ.get("TRIFACTOR_WORKERS", str(default))
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"TRIFACTOR_WORKERS={text!r} is not an integer") from None
-
-
 def cmd_check(args) -> int:
-    workers = _workers(1)
     fact = build_factorisation(field_for(args.q))
     if args.prop == "c1f":
         verdict = check_c1f(fact, mode=args.mode or "reduced")
@@ -105,7 +95,6 @@ def cmd_check(args) -> int:
             samples=args.samples,
             seed=args.seed,
             time_budget=args.time_budget,
-            workers=workers,
         )
     if args.format == "json":
         _write_output(json_text({"q": args.q, **verdict.to_dict()}), args.out)
@@ -219,7 +208,6 @@ def cmd_suite(args) -> int:
             cfg = parse_config(fh.read())
     else:
         cfg = default_config()
-    cfg.workers = _workers(cfg.workers)
     cfg.include_timings = args.timings
     report = run_suite(cfg)
     text = report.to_json() if args.format == "json" else report.to_text()

@@ -17,7 +17,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .factorisation import (
@@ -243,19 +242,8 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
 
 # -- Hamilton-Berge sweeps ---------------------------------------------------
 
-_WORKER_FACT: Factorisation | None = None
-_WORKER_FOUND: dict = {}
-
-
-def _hb1f_worker_init(p: int, l: int) -> None:
-    global _WORKER_FACT, _WORKER_FOUND
-    _WORKER_FACT = build_factorisation(field(p, l))
-    _WORKER_FACT.symmetry  # built once; chunks share it and _WORKER_FOUND
-    _WORKER_FOUND = {}
-
-
 def _hb1f_check_triples(
-    fact: Factorisation, triples, time_budget: float, found: dict | None = None
+    fact: Factorisation, triples, time_budget: float
 ) -> list[tuple[tuple[int, int, int], str]]:
     """Each triple with "found", "none", "timeout" or "disconnected".
 
@@ -265,8 +253,7 @@ def _hb1f_check_triples(
     canonical form of Symmetry.canonical.  The least form over the members
     is the triple's key, and two triples share it exactly when an element
     of PΓL(2,q) joins them.  The first cycle found for a key is kept in
-    `found` in canonical coordinates, so a pool worker can pass the same
-    dict for all its chunks, and moved onto later triples with that key in
+    canonical coordinates and moved onto later triples with that key in
     place of a search.  Every cycle is replayed on the triple's own edges
     before it counts; a failed replay is an internal fault.
     """
@@ -296,7 +283,7 @@ def _hb1f_check_triples(
     def codes(i):  # edge codes of factor i that ignore the order of points
         return tuple(bit[x] | bit[y] | bit[z] for x, y, z in fact.factors[i].edges)
 
-    found = {} if found is None else found  # key -> canonical cycle
+    found = {}  # key -> canonical cycle
     out = []
     for t in triples:
         i, j, k = t
@@ -333,18 +320,12 @@ def _hb1f_check_triples(
     return out
 
 
-def _hb1f_worker_chunk(args):
-    triples, time_budget = args
-    return _hb1f_check_triples(_WORKER_FACT, triples, time_budget, _WORKER_FOUND)
-
-
 def check_hb1f(
     fact: Factorisation,
     mode: str = "reduced",
     samples: int | None = None,
     seed: int | None = None,
     time_budget: float = 10.0,
-    workers: int = 1,
 ) -> TheoremVerdict:
     """Does every union of three distinct factors have a Hamilton Berge cycle?
 
@@ -378,22 +359,7 @@ def check_hb1f(
     else:
         raise UsageError(f"unknown mode {mode!r}")
 
-    if workers > 1 and len(triples) > 1000:
-        chunk_size = 250
-        chunks = [
-            (triples[i : i + chunk_size], time_budget)
-            for i in range(0, len(triples), chunk_size)
-        ]
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_hb1f_worker_init,
-            initargs=(ctx.p, ctx.l),
-        ) as pool:
-            for part in pool.map(_hb1f_worker_chunk, chunks):
-                results.extend(part)
-    else:
-        results = _hb1f_check_triples(fact, triples, time_budget)
+    results = _hb1f_check_triples(fact, triples, time_budget)
 
     witness = None
     computed: bool | None = True
@@ -503,14 +469,13 @@ class SuiteConfig:
     hb1f_sampled: tuple[tuple[int, int, int], ...] = ()  # (q, samples, seed)
     trace_scan_degrees: tuple[int, ...] = (3, 5, 7, 9, 11, 13)
     time_budget: float = 10.0
-    workers: int = 1
     include_timings: bool = False
     expectations: dict = dc_field(default_factory=dict)  # (prop, q) -> bool
 
     def describe(self) -> dict:
         """Every field but the run-time ones that must not change the report."""
         out = asdict(self)
-        del out["workers"], out["include_timings"]
+        del out["include_timings"]
         out["expectations"] = {
             f"{prop}_{q}": v for (prop, q), v in sorted(self.expectations.items())
         }
@@ -558,8 +523,6 @@ def _set_config_line(cfg: SuiteConfig, line: str) -> None:
         cfg.trace_scan_degrees = tuple(int(v) for v in value.split())
     elif key == "time_budget":
         cfg.time_budget = float(value)
-    elif key == "workers":
-        cfg.workers = int(value)
     elif key.startswith("expect_"):
         _, prop, q = key.split("_")
         if prop not in PROPERTIES:
@@ -668,22 +631,19 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         note(uc1f, props)
         if q in cfg.hb1f_full_qs:
             note(
-                check_hb1f(fact, "full", time_budget=cfg.time_budget,
-                           workers=cfg.workers),
+                check_hb1f(fact, "full", time_budget=cfg.time_budget),
                 props,
             )
         if q in cfg.hb1f_reduced_qs:
             note(
-                check_hb1f(fact, "reduced", time_budget=cfg.time_budget,
-                           workers=cfg.workers),
+                check_hb1f(fact, "reduced", time_budget=cfg.time_budget),
                 props,
             )
         for sq, n, seed in cfg.hb1f_sampled:
             if sq == q:
                 note(
                     check_hb1f(fact, "sampled", samples=n, seed=seed,
-                               time_budget=cfg.time_budget,
-                               workers=cfg.workers),
+                               time_budget=cfg.time_budget),
                     props,
                 )
         entries.append(

@@ -181,6 +181,10 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
     assert code == 3
     assert "expect_clf_17 = true" in err
+    cfg.write_text("workers = 1\n")  # not a config key
+    code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 3
+    assert "workers = 1" in err
     cfg.write_bytes(b"qs = \xff\n")
     assert run_cli(capsys, "suite", "--config", str(cfg))[0] == 3
     # the A4 census covers odd primes only

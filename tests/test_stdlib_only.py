@@ -1,6 +1,8 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and no process pool."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,3 +23,15 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the HB1F sweeps run serially; importing the front end must not pull
+    # in multiprocessing or concurrent.futures
+    src = Path(trifactor.__file__).resolve().parents[1]
+    code = ("import sys, trifactor.cli; print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

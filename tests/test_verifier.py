@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -177,49 +176,6 @@ def test_check_hb1f_failed_replay_is_an_internal_fault(facts, monkeypatch):
         check_hb1f(facts(8), mode="full")
 
 
-def test_check_hb1f_report_independent_of_workers(facts):
-    # 3,276 triples: more than the 1000 that send workers=2 to the pool
-    one = check_hb1f(facts(8), mode="full", workers=1)
-    two = check_hb1f(facts(8), mode="full", workers=2)
-    assert one.stats["tasks"] == 3276
-    assert one.to_dict() == two.to_dict()
-
-
-def test_check_hb1f_pool_keeps_the_replay(facts):
-    # 9,045 reduced triples go to the pool in chunks; each worker keeps its
-    # found cycles across its chunks, and the report is the same
-    one = check_hb1f(facts(17), mode="reduced", workers=1)
-    two = check_hb1f(facts(17), mode="reduced", workers=2)
-    assert one.stats["tasks"] == 9045 and one.computed is False
-    assert one.to_dict() == two.to_dict()
-
-
-def test_check_hb1f_worker_keeps_found_cycles_across_chunks(monkeypatch):
-    # the pool's functions, run in this process: 250-triple chunks search
-    # exactly as often as one call over all the triples
-    import trifactor.verifier as verifier
-
-    monkeypatch.setattr(verifier, "_WORKER_FACT", None)
-    monkeypatch.setattr(verifier, "_WORKER_FOUND", {})
-    searches = []
-
-    def counting_search(h, *args):
-        searches.append(h)
-        return find_hamilton_berge_cycle(h, *args)
-
-    monkeypatch.setattr(verifier, "find_hamilton_berge_cycle", counting_search)
-    verifier._hb1f_worker_init(17, 1)
-    fact = verifier._WORKER_FACT
-    triples = [(0, i, j) for i, j in itertools.combinations(range(1, len(fact)), 2)]
-    chunked = []
-    for start in range(0, len(triples), 250):
-        chunked += verifier._hb1f_worker_chunk((triples[start:start + 250], 10.0))
-    in_chunks = len(searches)
-    searches.clear()
-    assert chunked == verifier._hb1f_check_triples(fact, triples, 10.0)
-    assert in_chunks == len(searches) < 250
-
-
 def test_overlap_distribution(facts):
     assert overlap_distribution(facts(5)) == {2: 9}
     assert 3 in overlap_distribution(facts(11))
@@ -312,6 +268,8 @@ def test_parse_config_round_trip():
         parse_config("just a line")
     with pytest.raises(UsageError, match="expect_clf_17"):
         parse_config("expect_clf_17 = true")
+    with pytest.raises(UsageError, match="workers = 2"):
+        parse_config("workers = 2")
 
 
 def test_run_suite_small_clean():
