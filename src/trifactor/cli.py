@@ -16,6 +16,7 @@ import sys
 from .factorisation import build_factorisation, build_one_factor, dump_factorisation
 from .field import UsageError
 from .groups import (
+    CLOSURE_CAP,
     a4_pair_census,
     classify_subgroup,
     generate_subgroup,
@@ -253,7 +254,8 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", help="single label alpha (default: sweep)")
     p.add_argument("--beta", help="single label beta")
     p.add_argument("--exact", action="store_true",
-                   help="exact closure instead of early exit")
+                   help=f"exact closure instead of early exit; exit 3 above "
+                        f"{CLOSURE_CAP:,} elements")
     p.add_argument("--census", action="store_true",
                    help="count factor pairs sharing an A4 subgroup")
     add_common(p)

@@ -24,18 +24,14 @@ from itertools import combinations
 from typing import Iterable, TextIO
 
 from .field import FiniteField, InvariantError, UsageError, field
-from .projline import AlphaZeroError, Mobius, base_map
+from .projline import Mobius, base_map
 
 Edge = tuple[int, int, int]
 
 
-class BadResidueError(UsageError):
-    """q is not congruent to 2 mod 3, so orbits need not be triples."""
-
-
 def require_residue(q: int) -> None:
     if q % 3 != 2:
-        raise BadResidueError(f"q={q} is not 2 mod 3")
+        raise UsageError(f"q={q} is not 2 mod 3")
 
 
 class OneFactor:
@@ -90,7 +86,7 @@ def _scaled(ctx: FiniteField, a: int) -> list[int]:
 def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
     """Orbit partition of orbit_map(a, b), as the affine image of the base."""
     if a == 0:
-        raise AlphaZeroError("label scale must be nonzero")
+        raise UsageError("label scale must be nonzero")
     return OneFactor((a, b), _affine_image(ctx, _base_edges(ctx), _scaled(ctx, a), b))
 
 

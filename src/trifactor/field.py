@@ -39,22 +39,6 @@ class InvariantError(RuntimeError):
     """
 
 
-class NotPrimeError(UsageError):
-    """Characteristic is not a prime number."""
-
-
-class DegreeError(UsageError):
-    """Extension degree is not a positive integer."""
-
-
-class TooLargeError(UsageError):
-    """Field order exceeds the construction cap."""
-
-
-class AllZeroCoefficientsError(UsageError):
-    """Quadratic solver called with a = b = c = 0."""
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -120,12 +104,12 @@ class FiniteField:
 
     def __init__(self, p: int, l: int):
         if not isinstance(p, int) or not is_prime(p):
-            raise NotPrimeError(f"characteristic {p!r} is not prime")
+            raise UsageError(f"characteristic {p!r} is not prime")
         if not isinstance(l, int) or l < 1:
-            raise DegreeError(f"extension degree {l!r} must be >= 1")
+            raise UsageError(f"extension degree {l!r} must be >= 1")
         q = p**l
         if q > MAX_ORDER:
-            raise TooLargeError(f"order {q} exceeds cap {MAX_ORDER}")
+            raise OutOfRangeError(f"order {q} exceeds cap {MAX_ORDER}")
         self.p = p
         self.l = l
         self.q = q
@@ -155,7 +139,7 @@ class FiniteField:
             cand = _digits(low, p, l) + [1]
             if _is_irreducible(cand, p):
                 return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")  # unreachable
+        raise InvariantError("no irreducible polynomial found")
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Product without tables: carryless for p=2, digit schoolbook else."""
@@ -200,7 +184,7 @@ class FiniteField:
         for e in range(1, self.q):
             if all(self._raw_pow(e, n) != 1 for n in checks):
                 return e
-        raise AssertionError("no multiplicative generator found")  # unreachable
+        raise InvariantError("no multiplicative generator found")
 
     def _build_tables(self):
         q = self.q
@@ -402,7 +386,7 @@ class FiniteField:
         """
         if a == 0 and b == 0:
             if c == 0:
-                raise AllZeroCoefficientsError("a = b = c = 0")
+                raise UsageError("a = b = c = 0")
             return set()
         if a == 0:
             return {self.mul(self.neg(c), self.inv(b))}

@@ -19,8 +19,8 @@ from .field import FiniteField, OutOfRangeError, is_prime
 from .projline import Mobius, orbit_map
 
 
-class CapExceededError(RuntimeError):
-    """Exact closure grew beyond the caller's cap."""
+CLOSURE_CAP = 250_000
+CENSUS_MAX_Q = 29
 
 
 def psl_order(ctx: FiniteField) -> int:
@@ -95,7 +95,6 @@ def is_transitive(ctx: FiniteField, gens: list[Mobius]) -> bool:
 def generate_subgroup(
     ctx: FiniteField,
     gens: list[Mobius],
-    cap: int = 250_000,
     stop_when_full: bool = False,
 ) -> GeneratedSubgroup:
     """Breadth-first closure of gens under composition.
@@ -105,8 +104,10 @@ def generate_subgroup(
     stop_when_full, the search stops as soon as the closure exceeds
     full_exit_threshold and reports the whole group with its order given by
     the order formula; this is only sound for generators that are
-    conjugates of the base map.  Exact closures beyond cap raise.
+    conjugates of the base map.  Exact closures beyond CLOSURE_CAP raise
+    OutOfRangeError.
     """
+    cap = CLOSURE_CAP
     steps = _steps(gens)
     ident = (0, 1, ctx.q)
     seen = {ident}
@@ -123,7 +124,7 @@ def generate_subgroup(
                     if threshold is not None and len(seen) > threshold:
                         return GeneratedSubgroup(None, psl_order(ctx), full_group=True)
                     if len(seen) > cap:
-                        raise CapExceededError(f"closure exceeded cap {cap}")
+                        raise OutOfRangeError(f"closure exceeded cap {cap}")
         frontier = nxt
     return GeneratedSubgroup(
         frozenset(seen), len(seen), full_group=len(seen) == psl_order(ctx)
@@ -153,17 +154,18 @@ def classify_subgroup(group: GeneratedSubgroup, ctx: FiniteField) -> SubgroupCla
     return SubgroupClass("Other", order)
 
 
-def a4_pair_census(fact: Factorisation, max_q: int = 29) -> dict:
+def a4_pair_census(fact: Factorisation) -> dict:
     """Count unordered factor pairs whose two orbit maps lie in a common A4.
 
     The generated subgroup of such a pair has order 12.  Also reports the
     group-theoretic count of A4 copies, q(q^2-1)/24, for display.  Odd
-    prime q up to max_q only; the sweep is quadratic in the factor count.
+    prime q up to CENSUS_MAX_Q only; the sweep is quadratic in the factor
+    count.
     """
     ctx = fact.ctx
     q = ctx.q
-    if not (is_prime(q) and q % 2 == 1 and q <= max_q):
-        raise OutOfRangeError(f"census supports odd primes <= {max_q}, got {q}")
+    if not (is_prime(q) and q % 2 == 1 and q <= CENSUS_MAX_Q):
+        raise OutOfRangeError(f"census supports odd primes <= {CENSUS_MAX_Q}, got {q}")
     maps = [orbit_map(ctx, *f.label) for f in fact.factors]
     count = 0
     nf = len(maps)

@@ -20,22 +20,6 @@ from .factorisation import Edge, OneFactor
 from .projline import base_map
 
 
-class DuplicateFactorError(ValueError):
-    """Union requires pairwise distinct factors."""
-
-
-class SameFactorError(ValueError):
-    """Pair overlap requires two distinct factors."""
-
-
-class IsBaseFactorError(UsageError):
-    """The label denotes the base factor itself."""
-
-
-class SizeMismatchError(ValueError):
-    """Isomorphism requires equal vertex counts."""
-
-
 class UnionHypergraph:
     """Edges of 2-3 one-factors on vertices 0..n-1."""
 
@@ -61,7 +45,7 @@ def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if factors[i].edges == factors[j].edges:
-                raise DuplicateFactorError("factors must be distinct")
+                raise ValueError("factors must be distinct")
     edges: list[Edge] = []
     for f in factors:
         edges.extend(f.edges)
@@ -131,7 +115,7 @@ def pair_overlap(f1: OneFactor, f2: OneFactor) -> OverlapResult:
     repeated when both its points fall in one block.
     """
     if f1.edges == f2.edges:
-        raise SameFactorError("pair overlap needs two distinct factors")
+        raise ValueError("pair overlap needs two distinct factors")
     block = [0] * (3 * len(f1.edges))
     for i, (x, y, z) in enumerate(f1.edges):
         block[x] = block[y] = block[z] = i
@@ -154,11 +138,11 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
     the two quadratics in the general case.  Must agree with pair_overlap.
     """
     if a == 0:
-        raise IsBaseFactorError("label scale must be nonzero")
+        raise UsageError("label scale must be nonzero")
     one = 1
     neg1 = ctx.neg(1)
     if (a, b) in {(1, 0), (neg1, 1)}:
-        raise IsBaseFactorError("label denotes the base factor")
+        raise UsageError("label denotes the base factor")
     inf = ctx.q
 
     # base(x) = m(x)
@@ -229,7 +213,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
     edge's vertices are all placed.  Exact; intended for n <= 33.
     """
     if h1.n != h2.n:
-        raise SizeMismatchError(f"vertex counts differ: {h1.n} != {h2.n}")
+        raise ValueError(f"vertex counts differ: {h1.n} != {h2.n}")
     if len(h1.edges) != len(h2.edges):
         return None
     inc1 = h1.incidence()

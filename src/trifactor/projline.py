@@ -14,10 +14,6 @@ from __future__ import annotations
 from .field import FiniteField, InvariantError, UsageError
 
 
-class AlphaZeroError(UsageError):
-    """Affine scale coefficient must be nonzero."""
-
-
 def infinity(ctx: FiniteField) -> int:
     """Index of the point at infinity."""
     return ctx.q
@@ -130,7 +126,7 @@ def base_map(ctx: FiniteField) -> Mobius:
 def affine_map(ctx: FiniteField, a: int, b: int) -> Mobius:
     """x -> a x + b, the stabiliser of infinity."""
     if a == 0:
-        raise AlphaZeroError("affine scale must be nonzero")
+        raise UsageError("affine scale must be nonzero")
     return Mobius(ctx, a, b, 0, 1)
 
 
@@ -142,7 +138,7 @@ def orbit_map(ctx: FiniteField, a: int, b: int) -> Mobius:
     q = 2 mod 3.
     """
     if a == 0:
-        raise AlphaZeroError("label scale must be nonzero")
+        raise UsageError("label scale must be nonzero")
     s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))
     m = Mobius(ctx, ctx.neg(b), s, ctx.neg(1), ctx.add(a, b))
     g = affine_map(ctx, a, b)

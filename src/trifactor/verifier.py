@@ -49,18 +49,10 @@ SUPPORTED_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
 PROPERTIES = ("c1f", "u1f", "uc1f", "hb1f")
 
 
-class NotPrimePowerError(UsageError):
-    """q is not a prime power."""
-
-
-class EvenDegreeError(UsageError):
-    """The scan requires an odd extension degree."""
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     primes = _distinct_prime_factors(q)
     if len(primes) != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
+        raise UsageError(f"{q} is not a prime power")
     p, l = primes[0], 1
     while p**l != q:
         l += 1
@@ -416,7 +408,7 @@ def char2_uniformity_scan(l: int) -> dict:
     if not 3 <= l <= 17:
         raise OutOfRangeError(f"degree {l} outside [3, 17]")
     if l % 2 == 0:
-        raise EvenDegreeError("scan requires odd degree")
+        raise UsageError("scan requires odd degree")
     ctx = field(2, l)
     q = ctx.q
     witnesses = []

@@ -190,6 +190,11 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     # the A4 census covers odd primes only
     code, out, _ = run_cli(capsys, "subgroup", "--q", "8", "--census")
     assert code == 3 and out == ""
+    # an exact closure larger than the cap is the caller's request, not a fault
+    code, _, err = run_cli(capsys, "subgroup", "--q", "125", "--exact",
+                           "--alpha", "2,1", "--beta", "1")
+    assert code == 3
+    assert "exceeded cap" in err
     # sampling needs a positive count and at least three factors to draw from
     for q, samples in (("8", "0"), ("2", "3")):
         code, _, _ = run_cli(capsys, "check", "hb1f", "--q", q, "--mode",

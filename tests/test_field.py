@@ -3,11 +3,9 @@ import random
 import pytest
 
 from trifactor.field import (
-    AllZeroCoefficientsError,
-    DegreeError,
     FiniteField,
-    NotPrimeError,
-    TooLargeError,
+    OutOfRangeError,
+    UsageError,
     field,
 )
 
@@ -50,13 +48,13 @@ def test_modulus_is_irreducible_by_root_absence():
 
 
 def test_constructor_errors():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(UsageError, match="is not prime"):
         FiniteField(4, 1)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(UsageError, match="is not prime"):
         FiniteField(1, 3)
-    with pytest.raises(DegreeError):
+    with pytest.raises(UsageError, match="must be >= 1"):
         FiniteField(2, 0)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(OutOfRangeError, match="exceeds cap"):
         FiniteField(2, 21)
 
 
@@ -225,7 +223,7 @@ def test_solve_quadratic_examples():
 
 def test_solve_quadratic_degenerate_cases():
     ctx = field(5)
-    with pytest.raises(AllZeroCoefficientsError):
+    with pytest.raises(UsageError, match="a = b = c = 0"):
         ctx.solve_quadratic(0, 0, 0)
     assert ctx.solve_quadratic(0, 0, 3) == set()
     assert ctx.solve_quadratic(0, 2, 1) == {2}  # 2x + 1 = 0

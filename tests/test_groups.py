@@ -3,7 +3,6 @@ import pytest
 from trifactor.factorisation import build_factorisation
 from trifactor.field import field
 from trifactor.groups import (
-    CapExceededError,
     OutOfRangeError,
     a4_pair_census,
     classify_subgroup,
@@ -51,12 +50,13 @@ def test_generate_identity():
     assert classify_subgroup(g, ctx).tag == "Other"
 
 
-def test_generate_cap():
+def test_generate_cap(monkeypatch):
     ctx = field(11)
     F = build_factorisation(ctx)
     gens = [base_map(ctx), orbit_map(ctx, *F.factors[2].label)]
-    with pytest.raises(CapExceededError):
-        generate_subgroup(ctx, gens, cap=100)
+    monkeypatch.setattr("trifactor.groups.CLOSURE_CAP", 100)
+    with pytest.raises(OutOfRangeError, match="exceeded cap 100"):
+        generate_subgroup(ctx, gens)
 
 
 def test_closure_is_a_group():

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from trifactor.field import OutOfRangeError
 from trifactor.groups import (
-    CapExceededError,
     a4_pair_census,
     classify_subgroup,
     full_exit_threshold,
@@ -54,7 +54,7 @@ def reference_generate_subgroup(
                     if threshold is not None and len(seen) > threshold:
                         return ReferenceSubgroup(None, psl_order(ctx), full_group=True)
                     if len(seen) > cap:
-                        raise CapExceededError(f"closure exceeded cap {cap}")
+                        raise OutOfRangeError(f"closure exceeded cap {cap}")
         frontier = nxt
     return ReferenceSubgroup(
         frozenset(seen), len(seen), full_group=len(seen) == psl_order(ctx)
@@ -105,12 +105,14 @@ def test_q11_census_unchanged(factorisations):
     assert a4_pair_census(factorisations(11))["a4_pair_count"] == 330
 
 
-def test_cap_reached_at_the_same_size():
+def test_cap_reached_at_the_same_size(monkeypatch):
     ctx = field_for(11)
     gens = [base_map(ctx), orbit_map(ctx, 3, 4)]  # generates A5
     for cap, order in ((59, None), (60, 60)):
-        for closure in (reference_generate_subgroup, generate_subgroup):
+        monkeypatch.setattr("trifactor.groups.CLOSURE_CAP", cap)
+        for closure in (lambda: reference_generate_subgroup(ctx, gens, cap=cap),
+                        lambda: generate_subgroup(ctx, gens)):
             try:
-                assert closure(ctx, gens, cap=cap).order == order
-            except CapExceededError:
-                assert order is None
+                assert closure().order == order
+            except OutOfRangeError as exc:
+                assert order is None and "exceeded cap" in str(exc)

@@ -1,4 +1,8 @@
-"""The package imports nothing outside the standard library, and no process pool."""
+"""The package imports nothing outside the standard library, and no process pool.
+
+Its only exception classes are the three in field.py: UsageError and its
+OutOfRangeError subclass (exit 3) and InvariantError (exit 4).
+"""
 
 import ast
 import os
@@ -35,3 +39,21 @@ def test_cli_import_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def test_exception_classes_live_only_in_field():
+    # every raise site picks one of these, so the CLI decides exit 3 or 4
+    # from one module
+    src = Path(trifactor.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                     for b in node.bases]
+            if any(b.endswith(("Error", "Exception")) for b in bases):
+                found.append((path.name, node.name))
+    assert sorted(found) == [("field.py", "InvariantError"),
+                             ("field.py", "OutOfRangeError"),
+                             ("field.py", "UsageError")]
