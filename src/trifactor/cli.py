@@ -39,6 +39,7 @@ from .verifier import (
     overlap_distribution,
     parse_config,
     run_suite,
+    time_budget_seconds,
 )
 
 USAGE_ERROR = 3
@@ -237,7 +238,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("reduced", "full", "sampled"))
     p.add_argument("--samples", type=int, help="sample count for sampled mode")
     p.add_argument("--seed", type=int, help="seed for sampled mode")
-    p.add_argument("--time-budget", type=float, default=10.0,
+    p.add_argument("--time-budget", type=time_budget_seconds, default=10.0,
                    help="seconds per cycle search")
     add_common(p)
     p.set_defaults(func=cmd_check)

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, TextIO
 
 from .field import FiniteField, InvariantError, UsageError, field
-from .projline import Mobius, base_map
+from .projline import Mobius, base_map, invert
 
 Edge = tuple[int, int, int]
 
@@ -171,12 +171,12 @@ class Symmetry:
 
     N is generated by sigma: x -> 1/x (which inverts the base map), the
     torus element and Frobenius, and has order 2(q+1)l.  It is small, so
-    it is listed outright: elements[k] is a point permutation, elements[0]
-    the identity, and elements[inverse[k]] its inverse.  rep[i] is the least
-    factor of i's N-orbit and elements[tau[i]] moves i there; stabiliser[r]
-    lists the elements that fix the representative r.  Each generator must
-    map the base factor onto itself, N must have its order, and the orbits
-    must pass orbit-stabiliser and partition the factors, or InvariantError.
+    it is listed outright: elements[k] is a point permutation and
+    elements[0] the identity.  rep[i] is the least factor of i's N-orbit
+    and elements[tau[i]] moves i there; stabiliser[r] lists the elements
+    that fix the representative r.  Each generator must map the base factor
+    onto itself, N must have its order, and the orbits must pass
+    orbit-stabiliser and partition the factors, or InvariantError.
     """
 
     def __init__(self, fact: Factorisation):
@@ -199,8 +199,7 @@ class Symmetry:
                         raise InvariantError(f"N has more than {order} elements")
                     index[ge] = len(self.elements)
                     self.elements.append(ge)
-        self.inverse = [index[tuple(sorted(range(q + 1), key=e.__getitem__))]
-                        for e in self.elements]
+        inverse = [index[invert(e)] for e in self.elements]
 
         nf = len(fact.factors)
         self.rep: list[int] = [-1] * nf
@@ -218,7 +217,7 @@ class Symmetry:
                 if x == r:
                     stab.append(k)
                 if self.rep[x] < 0:
-                    self.rep[x], self.tau[x] = r, self.inverse[k]
+                    self.rep[x], self.tau[x] = r, inverse[k]
             if len(orbit) * len(stab) != order:
                 raise InvariantError(f"orbit of factor {r}: {len(orbit)} factors "
                                      f"and a stabiliser of {len(stab)} in N of "

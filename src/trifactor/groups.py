@@ -16,7 +16,7 @@ from math import gcd
 
 from .factorisation import Factorisation
 from .field import FiniteField, OutOfRangeError, is_prime
-from .projline import Mobius, orbit_map
+from .projline import Mobius, invert, orbit_map
 
 
 CLOSURE_CAP = 250_000
@@ -62,13 +62,7 @@ class GeneratedSubgroup:
 def _steps(gens: list[Mobius]) -> list[tuple[int, ...]]:
     """Point permutations of the generators, then of their inverses, deduplicated."""
     perms = [g.permutation() for g in gens]
-    inverses = []
-    for perm in perms:
-        inv = [0] * len(perm)
-        for x, y in enumerate(perm):
-            inv[y] = x
-        inverses.append(tuple(inv))
-    return list(dict.fromkeys(perms + inverses))
+    return list(dict.fromkeys(perms + [invert(perm) for perm in perms]))
 
 
 def is_transitive(ctx: FiniteField, gens: list[Mobius]) -> bool:

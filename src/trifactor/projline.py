@@ -114,6 +114,14 @@ class Mobius:
         return self._perm
 
 
+def invert(perm) -> tuple[int, ...]:
+    """The inverse of a point permutation given as its list of images."""
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return tuple(inv)
+
+
 def identity_map(ctx: FiniteField) -> Mobius:
     return Mobius(ctx, 1, 0, 0, 1)
 

@@ -17,7 +17,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 from .factorisation import (
     Factorisation,
@@ -35,7 +35,6 @@ from .field import (
     is_prime,
 )
 from .hypergraph import (
-    BergeSearchResult,
     components,
     find_hamilton_berge_cycle,
     find_isomorphism,
@@ -44,6 +43,7 @@ from .hypergraph import (
     union_hypergraph,
     validate_berge_cycle,
 )
+from .projline import invert
 
 SUPPORTED_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
 PROPERTIES = ("c1f", "u1f", "uc1f", "hb1f")
@@ -234,6 +234,14 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
 
 # -- Hamilton-Berge sweeps ---------------------------------------------------
 
+def time_budget_seconds(value) -> float:
+    """value as seconds per Berge search; UsageError unless finite and > 0."""
+    seconds = float(value)
+    if not 0 < seconds < float("inf"):
+        raise UsageError(f"time budget {value!r} is not finite and above 0")
+    return seconds
+
+
 def _hb1f_check_triples(
     fact: Factorisation, triples, time_budget: float
 ) -> list[tuple[tuple[int, int, int], str]]:
@@ -244,38 +252,29 @@ def _hb1f_check_triples(
     factor; N, the base factor's stabiliser, then puts the other two in the
     canonical form of Symmetry.canonical.  The least form over the members
     is the triple's key, and two triples share it exactly when an element
-    of PΓL(2,q) joins them.  The first cycle found for a key is kept in
-    canonical coordinates and moved onto later triples with that key in
-    place of a search.  Every cycle is replayed on the triple's own edges
-    before it counts; a failed replay is an internal fault.
+    of PΓL(2,q) joins them.  The first triple of a key is checked on its
+    union: connectivity, then a search whose cycle must pass its replay.  A
+    later triple takes that status if its union, moved onto the key, has
+    the same edges, so that an isomorphism joins the two unions; else, as
+    for a failed replay, InvariantError.
     """
     ctx = fact.ctx
     q = ctx.q
     n = q + 1
-    sym = fact.symmetry
-    elements, inverse = sym.elements, sym.inverse
-    bit = [1 << v for v in range(n)]
+    elements = fact.symmetry.elements
 
     @functools.cache
-    def affine(m):  # x -> a x + b of m's label and its inverse, on points
+    def affine(m):  # the inverse of x -> a x + b of m's label, on points
         a, b = fact.factors[m].label
-        to_m = [ctx.add(ctx.mul(a, x), b) for x in range(q)] + [q]
-        from_m = [0] * n
-        for x, y in enumerate(to_m):
-            from_m[y] = x
-        return to_m, tuple(from_m)
+        return invert([ctx.add(ctx.mul(a, x), b) for x in range(q)] + [q])
 
     @functools.cache
     def moved(m, o):
-        return fact.image(affine(m)[1], o)
+        return fact.image(affine(m), o)
 
-    canonical = functools.lru_cache(maxsize=1 << 16)(sym.canonical)
+    canonical = functools.lru_cache(maxsize=1 << 16)(fact.symmetry.canonical)
 
-    @functools.cache
-    def codes(i):  # edge codes of factor i that ignore the order of points
-        return tuple(bit[x] | bit[y] | bit[z] for x, y, z in fact.factors[i].edges)
-
-    found = {}  # key -> canonical cycle
+    checked = {}  # key -> (edge codes moved onto the key, status)
     out = []
     for t in triples:
         i, j, k = t
@@ -285,30 +284,23 @@ def _hb1f_check_triples(
                             (j, moved(j, i), moved(j, k)),
                             (k, moved(k, i), moved(k, j))))
         h = union_hypergraph(n, [fact.factors[x] for x in t])
-        if key in found:
-            vertices, edges = found[key]
-            # the inverse of s∘tau∘(x -> a x + b)^-1, which moved t to the key
-            to_m, t_inv = affine(m)[0], elements[inverse[tau]]
-            img = [to_m[t_inv[v]] for v in elements[inverse[s]]]
-            index = dict(zip(codes(i) + codes(j) + codes(k), range(n)))
-            # an edge that misses h gets index -1, which the replay rejects
-            result = BergeSearchResult("found", [img[v] for v in vertices], [
-                index.get(bit[img[x]] | bit[img[y]] | bit[img[z]], -1)
-                for x, y, z in edges])
-        elif not is_connected(h):
-            out.append((t, "disconnected"))
-            continue
-        else:
-            result = find_hamilton_berge_cycle(h, time_budget)
-            if result.found:
-                g, t_fwd = elements[s], elements[tau]
-                img = [g[t_fwd[v]] for v in affine(m)[1]]
-                found[key] = ([img[v] for v in result.vertices],
-                              [tuple(img[v] for v in h.edges[e])
-                               for e in result.edge_indices])
-        if result.found and not validate_berge_cycle(h, result):
-            raise InvariantError(f"the Berge cycle of triple {t} fails its replay")
-        out.append((t, result.status))
+        # s∘tau∘(x -> a x + b)^-1 moves t onto its key; bit[v] marks v's image
+        g, t_fwd = elements[s], elements[tau]
+        bit = [1 << g[t_fwd[v]] for v in affine(m)]
+        codes = sorted(bit[x] | bit[y] | bit[z] for x, y, z in h.edges)
+        if key not in checked:
+            if not is_connected(h):
+                status = "disconnected"
+            else:
+                result = find_hamilton_berge_cycle(h, time_budget)
+                if result.found and not validate_berge_cycle(h, result):
+                    raise InvariantError(f"the Berge cycle of triple {t} fails its replay")
+                status = result.status
+            checked[key] = (codes, status)
+        elif codes != checked[key][0]:
+            raise InvariantError(f"the union of triple {t} is not the image of "
+                                 f"its class's first union")
+        out.append((t, checked[key][1]))
     return out
 
 
@@ -324,12 +316,14 @@ def check_hb1f(
     Connectivity is checked first as the cheap necessary condition; a
     disconnected triple is a definite counterexample and is flagged as
     such.  A search timeout makes the verdict indeterminate rather than
-    false.  A triple counts as found only once a cycle has been replayed on
-    its own edges (see _hb1f_check_triples).  Sampled mode draws `samples`
+    false, and counts once per triple of the class.  Later triples of a
+    PΓL(2,q) class take the status of its first through a checked point
+    map (see _hb1f_check_triples).  Sampled mode draws `samples`
     random triples from the given seed and certifies each distinct one once
     (stats: tasks = samples, distinct_tasks, and timeouts among the distinct
     triples); reduced mode fixes the first factor to the base factor.
     """
+    time_budget_seconds(time_budget)
     ctx = fact.ctx
     q = ctx.q
     nf = len(fact.factors)
@@ -514,7 +508,7 @@ def _set_config_line(cfg: SuiteConfig, line: str) -> None:
     elif key == "trace_scans":
         cfg.trace_scan_degrees = tuple(int(v) for v in value.split())
     elif key == "time_budget":
-        cfg.time_budget = float(value)
+        cfg.time_budget = time_budget_seconds(value)
     elif key.startswith("expect_"):
         _, prop, q = key.split("_")
         if prop not in PROPERTIES:
@@ -587,7 +581,17 @@ class SuiteReport:
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Run every configured check and compare computed against predicted."""
+    """Run every configured check and compare computed against predicted.
+
+    An entry for a q outside cfg.qs, except in hb1f_full_qs, is a UsageError.
+    """
+    time_budget_seconds(cfg.time_budget)
+    strays = [f"hb1f_reduced_qs {q}" for q in cfg.hb1f_reduced_qs if q not in cfg.qs]
+    strays += [f"hb1f_sampled {q}:{n}:{seed}" for q, n, seed in cfg.hb1f_sampled
+               if q not in cfg.qs]
+    strays += [f"expect_{prop}_{q}" for prop, q in cfg.expectations if q not in cfg.qs]
+    if strays:
+        raise UsageError(f"{', '.join(strays)}: q not in qs {' '.join(map(str, cfg.qs))}")
     entries = []
     discrepancies = 0
     indeterminates = 0
@@ -596,14 +600,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         nonlocal discrepancies, indeterminates
         expected = cfg.expectations.get((verdict.prop, verdict.q))
         if expected is not None:
-            verdict = TheoremVerdict(
-                verdict.q,
-                verdict.prop,
-                verdict.computed,
-                expected,
-                verdict.witness,
-                verdict.stats,
-            )
+            verdict = replace(verdict, predicted=expected)
         if verdict.discrepancy:
             discrepancies += 1
         if verdict.indeterminate:

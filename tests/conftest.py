@@ -16,3 +16,27 @@ def factorisations():
         return _CACHE[q]
 
     return get
+
+
+@pytest.fixture
+def tamper_union(monkeypatch):
+    """tamper_union(at) swaps a point between the first two edges of the
+    union that the verifier's union_hypergraph builds on call number at."""
+    import trifactor.verifier as verifier
+
+    real = verifier.union_hypergraph
+
+    def tamper(at):
+        built = []
+
+        def tampered(n, factors):
+            h = real(n, factors)
+            built.append(h)
+            if len(built) == at:
+                (x, y, z), (u, v, w) = h.edges[0], h.edges[1]
+                h.edges[0], h.edges[1] = tuple(sorted((x, y, w))), tuple(sorted((u, v, z)))
+            return h
+
+        monkeypatch.setattr(verifier, "union_hypergraph", tampered)
+
+    return tamper

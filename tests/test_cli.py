@@ -200,6 +200,21 @@ def test_usage_errors_exit_3(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "check", "hb1f", "--q", q, "--mode",
                              "sampled", "--samples", samples, "--seed", "1")
         assert code == 3
+    # a time budget must be a finite number of seconds above 0
+    for value in ("nan", "inf", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "hb1f", "--q", "5", "--time-budget", value])
+        assert exc.value.code == 3
+        assert f"'{value}'" in capsys.readouterr().err
+        cfg.write_text(f"qs = 5\ntime_budget = {value}\n")
+        code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert f"time_budget = {value}" in err
+    # an entry for a q that qs leaves out would never run
+    cfg.write_text("qs = 5\nhb1f_sampled = 128:10:7\nhb1f_reduced_qs = 32\n")
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "hb1f_sampled 128:10:7" in err and "hb1f_reduced_qs 32" in err
 
 
 def test_internal_fault_exits_4(monkeypatch, capsys):
@@ -218,6 +233,15 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
 def test_failed_berge_replay_exits_4(monkeypatch, capsys):
     monkeypatch.setattr("trifactor.verifier.validate_berge_cycle",
                         lambda h, result: False)
+    code, out, err = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("trifactor: internal error: InvariantError: ")
+
+
+def test_tampered_union_exits_4(tamper_union, capsys):
+    tamper_union(3276)  # the last triple at q=8, not the first of its class
     code, out, err = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")
     assert code == 4
     assert out == ""

@@ -2,9 +2,9 @@
 
 reference_check_triples is the earlier body of _hb1f_check_triples, kept as
 the reference: it checks connectivity and then searches every triple.  The
-loop now moves a cycle found on one triple onto the later triples of its
-PΓL(2,q) class, so its (triple, status) list must equal the reference's in
-every mode, and a full sweep must search once per class.
+loop now checks the first triple of each PΓL(2,q) class and gives its status
+to the later triples of the class, so its (triple, status) list must equal
+the reference's in every mode, and a full sweep must search once per class.
 """
 
 import itertools

@@ -5,10 +5,9 @@ import pytest
 from trifactor.factorisation import build_factorisation
 from trifactor.field import InvariantError, UsageError, field
 from trifactor.hypergraph import (
-    find_hamilton_berge_cycle,
+    BergeSearchResult,
     pair_overlap,
     pair_overlap_algebraic,
-    validate_berge_cycle,
 )
 from trifactor.verifier import (
     OutOfRangeError,
@@ -142,29 +141,80 @@ def test_check_hb1f_sampled_deterministic(facts):
         check_hb1f(facts(8), mode="sampled")
 
 
-def test_check_hb1f_sampled_searches_each_distinct_triple_once(facts, monkeypatch):
-    # "once" means certified once: each distinct triple's cycle is replayed
-    # once, and only the first triple of each PΓL(2,q) class is searched
+def counting(monkeypatch, name):
+    """Calls to the verifier's binding of name, recorded by their arguments."""
     import trifactor.verifier as verifier
 
-    searched = []
-    replayed = []
+    calls = []
+    real = getattr(verifier, name)
 
-    def counting_search(h, *args):
-        searched.append(tuple(h.edges))
-        return find_hamilton_berge_cycle(h, *args)
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
 
-    def counting_replay(h, result):
-        replayed.append(tuple(h.edges))
-        return validate_berge_cycle(h, result)
+    monkeypatch.setattr(verifier, name, wrapper)
+    return calls
 
-    monkeypatch.setattr(verifier, "find_hamilton_berge_cycle", counting_search)
-    monkeypatch.setattr(verifier, "validate_berge_cycle", counting_replay)
+
+def test_check_hb1f_sampled_searches_each_distinct_triple_once(facts, monkeypatch):
+    # each distinct triple gets its own union; only the first triple of
+    # each PΓL(2,q) class is searched and has its cycle replayed
+    searched = counting(monkeypatch, "find_hamilton_berge_cycle")
+    replayed = counting(monkeypatch, "validate_berge_cycle")
+    unions = counting(monkeypatch, "union_hypergraph")
     v = check_hb1f(facts(8), mode="sampled", samples=1000, seed=7)
     assert v.computed is True
     assert v.stats["tasks"] == 1000 and v.stats["distinct_tasks"] == 872
-    assert len(searched) == len(set(searched)) < 872
-    assert len(replayed) == len(set(replayed)) == 872
+    assert len(searched) == len(replayed) == 6
+    assert len(unions) == 872
+    assert len({tuple(f.label for f in factors) for _, factors in unions}) == 872
+
+
+def test_check_hb1f_full_certifies_each_class_once(facts, monkeypatch):
+    searched = counting(monkeypatch, "find_hamilton_berge_cycle")
+    replayed = counting(monkeypatch, "validate_berge_cycle")
+    unions = counting(monkeypatch, "union_hypergraph")
+    v = check_hb1f(facts(11), mode="full")
+    assert v.computed is True and v.stats["tasks"] == 26235
+    assert len(searched) == len(replayed) == 37
+    assert len(unions) == 26235
+
+
+def test_check_hb1f_tampered_union_is_an_internal_fault(facts, tamper_union):
+    # the last of the 3276 triples at q=8 is not the first of its class
+    tamper_union(3276)
+    with pytest.raises(InvariantError, match="not the image of its class's"):
+        check_hb1f(facts(8), mode="full")
+
+
+@pytest.mark.parametrize("status", ["timeout", "none"])
+def test_check_hb1f_class_mates_take_the_first_status(facts, monkeypatch, status):
+    import trifactor.verifier as verifier
+
+    searched = []
+
+    def search(h, time_budget):
+        searched.append(h)
+        return BergeSearchResult(status)
+
+    monkeypatch.setattr(verifier, "find_hamilton_berge_cycle", search)
+    fact = facts(8)
+    v = check_hb1f(fact, mode="full")
+    assert len(searched) == 6
+    if status == "timeout":
+        assert v.computed is None and v.witness is None
+        assert v.stats["timeouts"] == v.stats["tasks"] == 3276
+    else:
+        assert v.computed is False and v.stats["timeouts"] == 0
+        labels = [[fact.ctx.element_str(e) for e in fact.factors[i].label]
+                  for i in (0, 1, 2)]
+        assert v.witness == {"triple": labels, "disconnected": False}
+
+
+def test_check_hb1f_rejects_time_budgets_not_finite_and_positive(facts):
+    for seconds in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(UsageError, match="time budget"):
+            check_hb1f(facts(5), mode="full", time_budget=seconds)
 
 
 def test_check_hb1f_failed_replay_is_an_internal_fault(facts, monkeypatch):
@@ -268,6 +318,20 @@ def test_parse_config_round_trip():
         parse_config("expect_clf_17 = true")
     with pytest.raises(UsageError, match="workers = 2"):
         parse_config("workers = 2")
+    for value in ("nan", "inf", "0", "-1"):
+        with pytest.raises(UsageError, match=f"time_budget = {value}"):
+            parse_config(f"time_budget = {value}")
+
+
+def test_run_suite_rejects_entries_for_q_outside_qs():
+    with pytest.raises(UsageError, match="hb1f_sampled 128:10:7"):
+        run_suite(SuiteConfig(qs=(5,), hb1f_sampled=((128, 10, 7),)))
+    with pytest.raises(UsageError, match="hb1f_reduced_qs 32"):
+        run_suite(SuiteConfig(qs=(5,), hb1f_reduced_qs=(32,)))
+    with pytest.raises(UsageError, match="expect_c1f_17"):
+        run_suite(SuiteConfig(qs=(5,), expectations={("c1f", 17): True}))
+    with pytest.raises(UsageError, match="time budget nan"):
+        run_suite(SuiteConfig(qs=(), time_budget=float("nan")))
 
 
 def test_run_suite_small_clean():
