@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .factorisation import build_factorisation, build_one_factor, dump_factorisation
+from .factorisation import build_factorisation, build_one_factor, dumps_factorisation
 from .field import UsageError
 from .groups import (
     CLOSURE_CAP,
@@ -23,7 +23,7 @@ from .groups import (
     is_transitive,
     psl_order,
 )
-from .hypergraph import pair_overlap, pair_overlap_algebraic
+from .hypergraph import DEFAULT_TIME_BUDGET, pair_overlap, pair_overlap_algebraic
 from .projline import base_map, orbit_map, point_str
 from .verifier import (
     PROPERTIES,
@@ -60,6 +60,21 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _report(args, payload, text: str) -> None:
+    """payload as JSON under --format json, else text; to --out or stdout."""
+    _write_output(json_text(payload) if args.format == "json" else text, args.out)
+
+
+def _label(ctx, args) -> tuple[int, int] | None:
+    """The label --alpha and --beta name (beta 0 by default), or None."""
+    if args.alpha is None:
+        if args.beta is not None:
+            raise UsageError("--beta needs --alpha")
+        return None
+    return (ctx.parse_element(args.alpha),
+            ctx.parse_element("0" if args.beta is None else args.beta))
+
+
 def _verdict_text(v: TheoremVerdict) -> str:
     comp = "indeterminate" if v.computed is None else str(v.computed).lower()
     lines = [
@@ -75,93 +90,77 @@ def _verdict_text(v: TheoremVerdict) -> str:
 
 def cmd_construct(args) -> int:
     fact = build_factorisation(field_for(args.q))
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump_factorisation(fact, fh, human=args.human)
-    else:
-        dump_factorisation(fact, sys.stdout, human=args.human)
+    _write_output(dumps_factorisation(fact, human=args.human), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
     fact = build_factorisation(field_for(args.q))
     if args.prop == "c1f":
-        verdict = check_c1f(fact, mode=args.mode or "reduced")
-    elif args.prop in ("u1f", "uc1f"):
-        u1f, uc1f = check_u1f(fact)
-        verdict = u1f if args.prop == "u1f" else uc1f
-    else:
+        verdict = check_c1f(fact, mode=args.mode)
+    elif args.prop == "hb1f":
         verdict = check_hb1f(
             fact,
-            mode=args.mode or "reduced",
+            mode=args.mode,
             samples=args.samples,
             seed=args.seed,
             time_budget=args.time_budget,
         )
-    if args.format == "json":
-        _write_output(json_text({"q": args.q, **verdict.to_dict()}), args.out)
     else:
-        _write_output(_verdict_text(verdict), args.out)
+        u1f, uc1f = check_u1f(fact)
+        verdict = u1f if args.prop == "u1f" else uc1f
+    _report(args, {"q": args.q, **verdict.to_dict()}, _verdict_text(verdict))
     return exit_status(verdict.discrepancy, verdict.indeterminate)
 
 
 def cmd_overlap(args) -> int:
     ctx = field_for(args.q)
-    if args.alpha is None:
+    label = _label(ctx, args)
+    if label is None:
         hist = overlap_distribution(build_factorisation(ctx))
-        if args.format == "json":
-            payload = {"q": args.q, "histogram": {str(k): v for k, v in hist.items()}}
-            _write_output(json_text(payload), args.out)
-        else:
-            _write_output(f"overlap histogram q={args.q}: {hist}\n", args.out)
+        _report(args, {"q": args.q, "histogram": {str(k): v for k, v in hist.items()}},
+                f"overlap histogram q={args.q}: {hist}\n")
         return 0
-    a = ctx.parse_element(args.alpha)
-    b = ctx.parse_element(args.beta if args.beta is not None else "0")
+    a, b = label
     alg = pair_overlap_algebraic(ctx, a, b)
     comb = pair_overlap(build_one_factor(ctx, 1, 0), build_one_factor(ctx, a, b))
     agree = alg.count == comb.count
-    if args.format == "json":
-        payload = {
-            "q": args.q,
-            "alpha": ctx.element_str(a),
-            "beta": ctx.element_str(b),
-            "algebraic": alg.count,
-            "combinatorial": comb.count,
-            "agree": agree,
-            "direct_solutions": alg.direct_solutions,
-            "inverse_solutions": alg.inverse_solutions,
-            "repeated_pairs": [list(p) for p in comb.repeated_pairs],
-        }
-        _write_output(json_text(payload), args.out)
-    else:
-        direct = [point_str(ctx, x) for x in alg.direct_solutions]
-        inverse = [point_str(ctx, x) for x in alg.inverse_solutions]
-        _write_output(
+    payload = {
+        "q": args.q,
+        "alpha": ctx.element_str(a),
+        "beta": ctx.element_str(b),
+        "algebraic": alg.count,
+        "combinatorial": comb.count,
+        "agree": agree,
+        "direct_solutions": alg.direct_solutions,
+        "inverse_solutions": alg.inverse_solutions,
+        "repeated_pairs": [list(p) for p in comb.repeated_pairs],
+    }
+    direct = [point_str(ctx, x) for x in alg.direct_solutions]
+    inverse = [point_str(ctx, x) for x in alg.inverse_solutions]
+    _report(args, payload,
             f"overlap q={args.q} label=({ctx.element_str(a)};{ctx.element_str(b)}): "
             f"algebraic={alg.count} combinatorial={comb.count} "
             f"{'ok' if agree else 'MISMATCH'}\n"
             f"  direct solutions: {direct}\n"
-            f"  inverse solutions: {inverse}\n",
-            args.out,
-        )
+            f"  inverse solutions: {inverse}\n")
     return 0 if agree else 1
 
 
 def cmd_subgroup(args) -> int:
     ctx = field_for(args.q)
-    f = base_map(ctx)
     if args.census:
+        if args.alpha is not None or args.beta is not None or args.exact:
+            raise UsageError("--census takes no --alpha, --beta or --exact")
         payload = {"q": args.q, **a4_pair_census(build_factorisation(ctx))}
-        _write_output(
-            json_text(payload) if args.format == "json" else f"{payload}\n",
-            args.out,
-        )
+        _report(args, payload, f"{payload}\n")
         return 0
-    if args.alpha is not None:
-        labels = [(ctx.parse_element(args.alpha),
-                   ctx.parse_element(args.beta if args.beta is not None else "0"))]
+    label = _label(ctx, args)
+    if label is not None:
+        labels = [label]
     else:
         labels = [fac.label for fac in build_factorisation(ctx).factors[1:]]
+    f = base_map(ctx)
     rows = []
     for a, b in labels:
         m = orbit_map(ctx, a, b)
@@ -177,30 +176,22 @@ def cmd_subgroup(args) -> int:
             }
         )
     payload = {"q": args.q, "psl_order": psl_order(ctx), "labels": rows}
-    if args.format == "json":
-        _write_output(json_text(payload), args.out)
-    else:
-        lines = [f"subgroups q={args.q} (group order {psl_order(ctx)}):"]
-        for r in rows:
-            lines.append(
-                f"  ({r['alpha']};{r['beta']}): {r['class']} order={r['order']} "
-                f"transitive={r['transitive']}"
-            )
-        _write_output("\n".join(lines) + "\n", args.out)
+    lines = [f"subgroups q={args.q} (group order {payload['psl_order']}):"]
+    for r in rows:
+        lines.append(
+            f"  ({r['alpha']};{r['beta']}): {r['class']} order={r['order']} "
+            f"transitive={r['transitive']}"
+        )
+    _report(args, payload, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_scan_trace(args) -> int:
     scan = char2_uniformity_scan(args.l)
-    if args.format == "json":
-        _write_output(json_text(scan), args.out)
-    else:
-        _write_output(
+    _report(args, scan,
             f"trace scan l={args.l}: witnesses={len(scan['witnesses_eq4'])} "
             f"all_trace1={scan['all_trace1']} "
-            f"roots={scan['poly_root_count']}<={scan['root_bound']}\n",
-            args.out,
-        )
+            f"roots={scan['poly_root_count']}<={scan['root_bound']}\n")
     return 0
 
 
@@ -212,18 +203,19 @@ def cmd_suite(args) -> int:
         cfg = default_config()
     cfg.include_timings = args.timings
     report = run_suite(cfg)
-    text = report.to_json() if args.format == "json" else report.to_text()
-    _write_output(text, args.out)
+    _report(args, report.to_dict(), report.to_text())
     return report.exit_code
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="trifactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--out", help="output path (default stdout)")
+    # options shared by the commands that write a report, with and without --q
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "text"), default="text")
+    output.add_argument("--out", help="output path (default stdout)")
+    field_output = argparse.ArgumentParser(add_help=False, parents=[output])
+    field_output.add_argument("--q", type=int, required=True)
 
     p = sub.add_parser("construct", help="build and dump a factorisation")
     p.add_argument("--q", type=int, required=True)
@@ -232,26 +224,28 @@ def build_parser() -> _Parser:
                    help="print infinity as 'inf' instead of its index")
     p.set_defaults(func=cmd_construct)
 
+    # each property takes only the options it reads
     p = sub.add_parser("check", help="verify a classification property")
-    p.add_argument("prop", choices=PROPERTIES)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mode", choices=("reduced", "full", "sampled"))
-    p.add_argument("--samples", type=int, help="sample count for sampled mode")
-    p.add_argument("--seed", type=int, help="seed for sampled mode")
-    p.add_argument("--time-budget", type=time_budget_seconds, default=10.0,
-                   help="seconds per cycle search")
-    add_common(p)
     p.set_defaults(func=cmd_check)
+    props = p.add_subparsers(dest="prop", required=True)
+    for prop in PROPERTIES:
+        props.add_parser(prop, parents=[field_output])
+    c1f, hb1f = props.choices["c1f"], props.choices["hb1f"]
+    c1f.add_argument("--mode", choices=("reduced", "full"), default="reduced")
+    hb1f.add_argument("--mode", choices=("reduced", "full", "sampled"), default="reduced")
+    hb1f.add_argument("--samples", type=int, help="sample count for sampled mode")
+    hb1f.add_argument("--seed", type=int, help="seed for sampled mode")
+    hb1f.add_argument("--time-budget", type=time_budget_seconds,
+                      default=DEFAULT_TIME_BUDGET, help="seconds per cycle search")
 
-    p = sub.add_parser("overlap", help="pair overlap of the base factor")
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("overlap", parents=[field_output],
+                       help="pair overlap of the base factor")
     p.add_argument("--alpha", help="label alpha as a coefficient list")
     p.add_argument("--beta", help="label beta as a coefficient list")
-    add_common(p)
     p.set_defaults(func=cmd_overlap)
 
-    p = sub.add_parser("subgroup", help="classify generated subgroups")
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("subgroup", parents=[field_output],
+                       help="classify generated subgroups")
     p.add_argument("--alpha", help="single label alpha (default: sweep)")
     p.add_argument("--beta", help="single label beta")
     p.add_argument("--exact", action="store_true",
@@ -259,19 +253,16 @@ def build_parser() -> _Parser:
                         f"{CLOSURE_CAP:,} elements")
     p.add_argument("--census", action="store_true",
                    help="count factor pairs sharing an A4 subgroup")
-    add_common(p)
     p.set_defaults(func=cmd_subgroup)
 
-    p = sub.add_parser("scan-trace", help="characteristic-2 trace scans")
+    p = sub.add_parser("scan-trace", parents=[output], help="characteristic-2 trace scans")
     p.add_argument("--l", type=int, required=True, help="odd extension degree")
-    add_common(p)
     p.set_defaults(func=cmd_scan_trace)
 
-    p = sub.add_parser("suite", help="run the full verification suite")
+    p = sub.add_parser("suite", parents=[output], help="run the full verification suite")
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed times (breaks byte-identical output)")
-    add_common(p)
     p.set_defaults(func=cmd_suite)
     return parser
 

@@ -322,34 +322,23 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
 # -- text dump / load ------------------------------------------------------
 
 
-def dump_factorisation(fact: Factorisation, fh: TextIO, human: bool = False) -> None:
-    """Write the factorisation in the line-oriented text format.
+def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
+    """The factorisation in the line-oriented text format.
 
     Header, then one block per factor with its canonical label and edges as
     point indices.  The human variant prints infinity as "inf" instead of
     its index q.
     """
     ctx = fact.ctx
-    fh.write(
-        f"q={ctx.q} p={ctx.p} l={ctx.l} "
-        f"modulus={','.join(str(c) for c in ctx.modulus)}\n"
-    )
+    lines = [f"q={ctx.q} p={ctx.p} l={ctx.l} "
+             f"modulus={','.join(str(c) for c in ctx.modulus)}"]
     inf_text = "inf" if human else str(ctx.q)
     for idx, f in enumerate(fact.factors):
         a, b = f.label
-        fh.write(
-            f"factor {idx} alpha={ctx.element_str(a)} beta={ctx.element_str(b)}\n"
-        )
+        lines.append(f"factor {idx} alpha={ctx.element_str(a)} beta={ctx.element_str(b)}")
         for edge in f.edges:
-            fh.write(" ".join(inf_text if v == ctx.q else str(v) for v in edge) + "\n")
-
-
-def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
-    import io
-
-    buf = io.StringIO()
-    dump_factorisation(fact, buf, human=human)
-    return buf.getvalue()
+            lines.append(" ".join(inf_text if v == ctx.q else str(v) for v in edge))
+    return "\n".join(lines) + "\n"
 
 
 def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:

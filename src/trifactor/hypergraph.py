@@ -19,6 +19,8 @@ from .field import FiniteField, InvariantError, UsageError
 from .factorisation import Edge, OneFactor
 from .projline import base_map
 
+DEFAULT_TIME_BUDGET = 10.0  # seconds per Hamilton Berge cycle search
+
 
 class UnionHypergraph:
     """Edges of 2-3 one-factors on vertices 0..n-1."""
@@ -301,9 +303,9 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
     return None
 
 
-def apply_isomorphism(h: UnionHypergraph, mapping: list[int]) -> set[Edge]:
-    """Image of h's edge set under a vertex mapping (for replay checks)."""
-    return {tuple(sorted(mapping[v] for v in e)) for e in h.edges}
+def apply_isomorphism(h: UnionHypergraph, mapping: list[int]) -> list[Edge]:
+    """Image of h's edges under a vertex mapping, sorted: a multiset to replay."""
+    return sorted(tuple(sorted(mapping[v] for v in e)) for e in h.edges)
 
 
 # -- Hamilton Berge cycles ---------------------------------------------------
@@ -433,7 +435,7 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
 
 
 def find_hamilton_berge_cycle(
-    h: UnionHypergraph, time_budget: float = 10.0
+    h: UnionHypergraph, time_budget: float = DEFAULT_TIME_BUDGET
 ) -> BergeSearchResult:
     """Search for a Berge cycle through every vertex.
 

@@ -35,6 +35,8 @@ from .field import (
     is_prime,
 )
 from .hypergraph import (
+    DEFAULT_TIME_BUDGET,
+    apply_isomorphism,
     components,
     find_hamilton_berge_cycle,
     find_isomorphism,
@@ -177,7 +179,9 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     Stage 1 computes the overlap of the base factor with every other
     (reduced sweep); any value other than 2 refutes uniformity at once.
     Stage 2 confirms that every pairwise union is isomorphic to a common
-    reference.  The UC1F verdict adds connectivity of that reference.
+    reference, and replays each isomorphism found: the union's edges moved
+    by it must be the reference's, else InvariantError.  The UC1F verdict
+    adds connectivity of that reference.
     """
     ctx = fact.ctx
     q = ctx.q
@@ -206,10 +210,12 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     if nf >= 2:
         reference = union_hypergraph(n, [fact.factors[0], fact.factors[1]])
     if computed and reference is not None:
+        reference_edges = sorted(reference.edges)
         for i, j in itertools.combinations(range(nf), 2):
             iso_tasks += 1
             h = union_hypergraph(n, [fact.factors[i], fact.factors[j]])
-            if find_isomorphism(h, reference) is None:
+            mapping = find_isomorphism(h, reference)
+            if mapping is None:
                 computed = False
                 witness = {
                     "pair": [
@@ -219,6 +225,8 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
                     "reason": "not_isomorphic",
                 }
                 break
+            if apply_isomorphism(h, mapping) != reference_edges:
+                raise InvariantError(f"the isomorphism of pair {(i, j)} fails its replay")
     stats = {
         "overlap_tasks": overlap_tasks,
         "isomorphism_tasks": iso_tasks,
@@ -309,7 +317,7 @@ def check_hb1f(
     mode: str = "reduced",
     samples: int | None = None,
     seed: int | None = None,
-    time_budget: float = 10.0,
+    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> TheoremVerdict:
     """Does every union of three distinct factors have a Hamilton Berge cycle?
 
@@ -322,8 +330,12 @@ def check_hb1f(
     random triples from the given seed and certifies each distinct one once
     (stats: tasks = samples, distinct_tasks, and timeouts among the distinct
     triples); reduced mode fixes the first factor to the base factor.
+    Only sampled mode takes samples and seed; either one in another mode is
+    a UsageError.
     """
     time_budget_seconds(time_budget)
+    if mode != "sampled" and (samples is not None or seed is not None):
+        raise UsageError(f"samples and seed apply to sampled mode only, not {mode!r}")
     ctx = fact.ctx
     q = ctx.q
     nf = len(fact.factors)
@@ -392,12 +404,11 @@ def overlap_distribution(fact: Factorisation) -> dict[int, int]:
 def char2_uniformity_scan(l: int) -> dict:
     """Trace scans over GF(2^l) behind the uniformity classification.
 
-    witnesses_eq4 lists the a in F* for which one of the two trace
-    conditions vanishes (each such a produces an overlap-4 pair, refuting
-    uniformity).  trace1_count counts x outside {0, 1} with
-    Tr(x + 1/x) = 1; such x are roots of a polynomial of degree
-    2^(l-1) + 2^(l-2), which bounds the count and forces a witness to
-    exist for l > 3.
+    witnesses_eq4 lists the a in F* with Tr(a/s^2) = 0, s = a^2 + a + 1
+    (each such a produces an overlap-4 pair, refuting uniformity).
+    trace1_count counts x outside {0, 1} with Tr(x + 1/x) = 1; such x are
+    roots of a polynomial of degree 2^(l-1) + 2^(l-2), which bounds the
+    count and forces a witness to exist for l > 3.
     """
     if not 3 <= l <= 17:
         raise OutOfRangeError(f"degree {l} outside [3, 17]")
@@ -408,10 +419,10 @@ def char2_uniformity_scan(l: int) -> dict:
     witnesses = []
     for a in range(1, q):
         s = ctx.add(ctx.add(ctx.mul(a, a), a), 1)  # a^2 + a + 1, never 0
-        s2inv = ctx.inv(ctx.mul(s, s))
-        if ctx.trace(ctx.mul(a, s2inv)) == 0:
-            witnesses.append(a)
-        elif ctx.trace(ctx.mul(ctx.mul(a, a), s2inv)) == 0:
+        # the second overlap-4 condition, Tr(a^2/s^2) = 0, adds nothing:
+        # a/s^2 + a^2/s^2 = (s + 1)/s^2 = 1/s + 1/s^2 has trace 0, since
+        # Tr(x^2) = Tr(x) in characteristic 2
+        if ctx.trace(ctx.mul(a, ctx.inv(ctx.mul(s, s)))) == 0:
             witnesses.append(a)
     trace1_count = 0
     for x in range(2, q):
@@ -454,7 +465,7 @@ class SuiteConfig:
     hb1f_reduced_qs: tuple[int, ...] = ()
     hb1f_sampled: tuple[tuple[int, int, int], ...] = ()  # (q, samples, seed)
     trace_scan_degrees: tuple[int, ...] = (3, 5, 7, 9, 11, 13)
-    time_budget: float = 10.0
+    time_budget: float = DEFAULT_TIME_BUDGET
     include_timings: bool = False
     expectations: dict = dc_field(default_factory=dict)  # (prop, q) -> bool
 
@@ -536,15 +547,17 @@ class SuiteReport:
     def exit_code(self) -> int:
         return exit_status(self.discrepancies, self.indeterminates)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "config": self.config,
             "suite": self.entries,
             "scans": self.scans,
             "discrepancies": self.discrepancies,
             "indeterminates": self.indeterminates,
         }
-        return json_text(payload)
+
+    def to_json(self) -> str:
+        return json_text(self.to_dict())
 
     def to_text(self) -> str:
         lines = []

@@ -40,3 +40,20 @@ def tamper_union(monkeypatch):
         monkeypatch.setattr(verifier, "union_hypergraph", tampered)
 
     return tamper
+
+
+@pytest.fixture
+def swapped_isomorphism(monkeypatch):
+    """The verifier's find_isomorphism, with the images of vertices 0 and 1
+    swapped in every map it returns."""
+    import trifactor.verifier as verifier
+
+    real = verifier.find_isomorphism
+
+    def swapped(h1, h2):
+        mapping = real(h1, h2)
+        if mapping is not None:
+            mapping[0], mapping[1] = mapping[1], mapping[0]
+        return mapping
+
+    monkeypatch.setattr(verifier, "find_isomorphism", swapped)

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from trifactor.cli import main
+from trifactor.cli import build_parser, main
 from trifactor.factorisation import build_factorisation, load_factorisation
 from trifactor.verifier import field_for
 
@@ -217,6 +218,38 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert "hb1f_sampled 128:10:7" in err and "hb1f_reduced_qs 32" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "check u1f --q 5 --mode full",
+    "check u1f --q 5 --time-budget 3",
+    "check c1f --q 5 --samples 10",
+    "check hb1f --q 8 --samples 5",
+    "check hb1f --q 8 --mode full --seed 3",
+    "overlap --q 5 --beta 1",
+    "subgroup --q 5 --beta 1",
+    "subgroup --q 17 --census --alpha 1",
+    "subgroup --q 17 --census --beta 1",
+    "subgroup --q 17 --census --exact",
+])
+def test_options_a_command_would_drop_exit_3(argv, capsys):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse rejects options a property does not take
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    examples = [words for words in lines if words[:1] == ["trifactor"]]
+    assert len(examples) >= 12
+    for words in examples:
+        build_parser().parse_args(words[1:])
+
+
 def test_internal_fault_exits_4(monkeypatch, capsys):
     import trifactor.cli
 
@@ -234,6 +267,14 @@ def test_failed_berge_replay_exits_4(monkeypatch, capsys):
     monkeypatch.setattr("trifactor.verifier.validate_berge_cycle",
                         lambda h, result: False)
     code, out, err = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("trifactor: internal error: InvariantError: ")
+
+
+def test_wrong_isomorphism_exits_4(swapped_isomorphism, capsys):
+    code, out, err = run_cli(capsys, "check", "u1f", "--q", "8")
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -120,6 +120,18 @@ def test_check_u1f_nonuniform_cases(facts):
         assert uc1f.computed is False
 
 
+def test_check_u1f_replays_every_isomorphism(facts, monkeypatch):
+    replayed = counting(monkeypatch, "apply_isomorphism")
+    u1f, _ = check_u1f(facts(8))
+    assert u1f.computed is True
+    assert len(replayed) == u1f.stats["isomorphism_tasks"] == 378
+
+
+def test_check_u1f_wrong_isomorphism_is_an_internal_fault(facts, swapped_isomorphism):
+    with pytest.raises(InvariantError, match="isomorphism of pair .* fails its replay"):
+        check_u1f(facts(8))
+
+
 def test_check_hb1f_q5_full(facts):
     v = check_hb1f(facts(5), mode="full")
     assert v.computed is True
@@ -139,6 +151,13 @@ def test_check_hb1f_sampled_deterministic(facts):
     assert v1.to_dict() == v2.to_dict()
     with pytest.raises(ValueError):
         check_hb1f(facts(8), mode="sampled")
+
+
+def test_check_hb1f_takes_samples_and_seed_only_in_sampled_mode(facts):
+    for mode in ("reduced", "full"):
+        for extra in ({"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}):
+            with pytest.raises(UsageError, match="sampled mode only"):
+                check_hb1f(facts(8), mode=mode, **extra)
 
 
 def counting(monkeypatch, name):
