@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .factorisation import Factorisation
-from .field import FiniteField, OutOfRangeError, is_prime
+from .field import FiniteField, InvariantError, OutOfRangeError, is_prime
 from .projline import Mobius, invert, orbit_map
 
 
@@ -153,23 +153,27 @@ def a4_pair_census(fact: Factorisation) -> dict:
 
     The generated subgroup of such a pair has order 12.  Also reports the
     group-theoretic count of A4 copies, q(q^2-1)/24, for display.  Odd
-    prime q up to CENSUS_MAX_Q only; the sweep is quadratic in the factor
-    count.
+    prime q up to CENSUS_MAX_Q only.
+
+    Only the nf - 1 pairs {0, j} are closed.  orbit_map checks that factor
+    i's map m_i is g_i m_0 g_i^-1, where g_i is the affine map of i's label.
+    Conjugating by g_i sends the pairs {0, j} one-to-one onto the pairs
+    {i, j'} (a twin label gives the inverse map, which generates the same
+    closure) and keeps each closure's order.  So every factor has the same
+    number c0 of A4 partners, nf * c0 counts every unordered pair twice,
+    and an odd product is an InvariantError.
     """
     ctx = fact.ctx
     q = ctx.q
     if not (is_prime(q) and q % 2 == 1 and q <= CENSUS_MAX_Q):
         raise OutOfRangeError(f"census supports odd primes <= {CENSUS_MAX_Q}, got {q}")
-    maps = [orbit_map(ctx, *f.label) for f in fact.factors]
-    count = 0
-    nf = len(maps)
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            g = generate_subgroup(ctx, [maps[i], maps[j]], stop_when_full=True)
-            if g.order == 12:
-                count += 1
+    base, *others = [orbit_map(ctx, *f.label) for f in fact.factors]
+    c0 = sum(generate_subgroup(ctx, [base, m], stop_when_full=True).order == 12
+             for m in others)
+    count, odd = divmod(len(fact.factors) * c0, 2)
+    if odd:
+        raise InvariantError(f"{len(fact.factors)} factors times {c0} A4 partners is odd")
     return {
         "a4_pair_count": count,
         "expected_copies": q * (q * q - 1) // 24,
     }
-

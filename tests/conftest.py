@@ -57,3 +57,23 @@ def swapped_isomorphism(monkeypatch):
         return mapping
 
     monkeypatch.setattr(verifier, "find_isomorphism", swapped)
+
+
+@pytest.fixture
+def extra_a4_pair(monkeypatch):
+    """The census's closure, reporting order 12 for the first pair whose
+    closure is not A4: exactly one extra A4 pair."""
+    import trifactor.groups as groups
+
+    real = groups.generate_subgroup
+    flipped = False
+
+    def closure(ctx, gens, stop_when_full=False):
+        nonlocal flipped
+        g = real(ctx, gens, stop_when_full)
+        if g.order != 12 and not flipped:
+            flipped = True
+            return groups.GeneratedSubgroup(None, 12)
+        return g
+
+    monkeypatch.setattr(groups, "generate_subgroup", closure)

@@ -281,6 +281,14 @@ def test_wrong_isomorphism_exits_4(swapped_isomorphism, capsys):
     assert err.startswith("trifactor: internal error: InvariantError: ")
 
 
+def test_odd_census_pair_count_exits_4(extra_a4_pair, capsys):
+    code, out, err = run_cli(capsys, "subgroup", "--q", "11", "--census")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("trifactor: internal error: InvariantError: ")
+
+
 def test_tampered_union_exits_4(tamper_union, capsys):
     tamper_union(3276)  # the last triple at q=8, not the first of its class
     code, out, err = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")

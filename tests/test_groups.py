@@ -1,7 +1,8 @@
 import pytest
 
+from trifactor import groups
 from trifactor.factorisation import build_factorisation
-from trifactor.field import field
+from trifactor.field import InvariantError, field
 from trifactor.groups import (
     OutOfRangeError,
     a4_pair_census,
@@ -175,12 +176,32 @@ def test_a4_census_expected_copies_formula_q23():
     assert 23 * (23 * 23 - 1) // 24 == 506
 
 
-@pytest.mark.slow
-def test_a4_census_q17_pairs_exist():
-    res = a4_pair_census(build_factorisation(field(17)))
-    assert res["a4_pair_count"] > 0
+def test_a4_census_q17_counts(factorisations):
+    res = a4_pair_census(factorisations(17))
+    assert res["a4_pair_count"] == 1224
     assert res["expected_copies"] == 204
 
+
+@pytest.mark.parametrize("q, closures", [(11, 54), (17, 135)])
+def test_census_closes_one_pair_per_nonbase_factor(monkeypatch, factorisations,
+                                                   q, closures):
+    calls = 0
+    closure = groups.generate_subgroup
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "generate_subgroup", counted)
+    a4_pair_census(factorisations(q))
+    assert calls == closures == len(factorisations(q).factors) - 1
+
+
+def test_census_odd_pair_count_is_an_invariant_error(extra_a4_pair, factorisations):
+    # q=11: 55 factors with 12 A4 partners each; one more makes 55 * 13 odd
+    with pytest.raises(InvariantError, match="55 factors times 13 A4 partners"):
+        a4_pair_census(factorisations(11))
 
 
 def test_census_converts_each_map_once(monkeypatch):

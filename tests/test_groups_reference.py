@@ -7,11 +7,19 @@ and the point orbits.
 generate_subgroup keys each element g by (g(0), g(1), g(inf)), which names
 g uniquely because PGL(2,q) is sharply 3-transitive on the projective line;
 so order, fullness and the mapped element set must agree on every input.
+
+reference_a4_pair_census is the earlier census loop, which closes every
+unordered factor pair; it also returns each factor's number of A4
+partners.  a4_pair_census closes only the pairs {0, j} and relies on every
+factor having the same number of partners, so both the counts and that
+equality are checked here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import pytest
 
 from trifactor.field import OutOfRangeError
 from trifactor.groups import (
@@ -99,6 +107,37 @@ def test_early_exit_agrees_with_exact_closure(factorisations):
             exact = generate_subgroup(ctx, gens)
             assert early.full_group == exact.full_group, (q, gens)
             assert classify_subgroup(early, ctx) == classify_subgroup(exact, ctx)
+
+
+def reference_a4_pair_census(fact) -> tuple[dict, list[int]]:
+    ctx = fact.ctx
+    q = ctx.q
+    maps = [orbit_map(ctx, *f.label) for f in fact.factors]
+    count = 0
+    nf = len(maps)
+    partners = [0] * nf
+    for i in range(nf):
+        for j in range(i + 1, nf):
+            g = generate_subgroup(ctx, [maps[i], maps[j]], stop_when_full=True)
+            if g.order == 12:
+                count += 1
+                partners[i] += 1
+                partners[j] += 1
+    return {
+        "a4_pair_count": count,
+        "expected_copies": q * (q * q - 1) // 24,
+    }, partners
+
+
+@pytest.mark.parametrize("q, partners", [
+    (5, 6), (11, 12), (17, 18),
+    pytest.param(23, 24, marks=pytest.mark.slow),
+    pytest.param(29, 30, marks=pytest.mark.slow),
+])
+def test_census_matches_quadratic_sweep(factorisations, q, partners):
+    ref, counts = reference_a4_pair_census(factorisations(q))
+    assert a4_pair_census(factorisations(q)) == ref
+    assert set(counts) == {partners}  # every factor has as many A4 partners
 
 
 def test_q11_census_unchanged(factorisations):
