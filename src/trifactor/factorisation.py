@@ -23,10 +23,11 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Iterable, TextIO
 
-from .field import FiniteField, InvariantError, UsageError, field
+from .field import FiniteField, InvariantError, OutOfRangeError, UsageError, field
 from .projline import Mobius, base_map, invert
 
 Edge = tuple[int, int, int]
+MAX_EDGES = 2_000_000  # ~160 bytes an edge; keeps q=227, refuses q=233
 
 
 def require_residue(q: int) -> None:
@@ -252,10 +253,13 @@ def build_factorisation(ctx: FiniteField) -> Factorisation:
     the twin's factor when the twin came first, and otherwise builds a new
     factor as the affine image of the base factor under x -> a x + b.  The
     canonical label of a factor is thus the first one met in enumeration
-    order.
+    order.  A q with more than MAX_EDGES edges is refused before building.
     """
-    base = _base_edges(ctx)
     q = ctx.q
+    edges = math.comb(q + 1, 3)
+    if edges > MAX_EDGES:
+        raise OutOfRangeError(f"q={q} has {edges} edges, above the cap {MAX_EDGES}")
+    base = _base_edges(ctx)
     factors: list[OneFactor] = []
     label_map: dict[tuple[int, int], int] = {}
     for a in range(1, q):

@@ -12,14 +12,15 @@ coefficients read as a base-p integer).  Fixing the modulus this way keeps
 element encodings, derived tables and golden outputs reproducible without an
 external polynomial table.
 
-Multiplication uses exp/log tables up to order 2^16 and schoolbook
-polynomial arithmetic above; the construction cap is 2^20.
+Every field builds exp/log tables for a multiplicative generator g, so
+mul, inv, pow, sqrt and odd-extension neg are table lookups at every order
+up to the construction cap of 2^20.  Schoolbook products (_raw_mul) only
+build the tables.
 """
 
 from __future__ import annotations
 
 MAX_ORDER = 1 << 20
-TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 512
 
 
@@ -118,13 +119,9 @@ class FiniteField:
         self._mod_mask = None
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
-        self._exp = None
-        self._log = None
         self._add_table = None
-        self._nonresidue = None
         self._as_basis = None
-        if q <= TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, l={self.l})"
@@ -220,14 +217,6 @@ class FiniteField:
             out += ((ra + rb) % p) * m
         return out
 
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        out = 0
-        for m in self._powers:
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * m
-        return out
-
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -238,11 +227,14 @@ class FiniteField:
         return self._add_digits(a, b)
 
     def neg(self, a: int) -> int:
+        """In odd characteristic -1 = g^((q-1)/2)."""
         if self.p == 2:
             return a
         if self.l == 1:
             return (-a) % self.p
-        return self._neg_digits(a)
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -252,16 +244,12 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return self._raw_pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -273,12 +261,7 @@ class FiniteField:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * n) % (self.q - 1)]
-        if n < 0:
-            a = self.inv(a)
-            n = -n
-        return self._raw_pow(a, n)
+        return self._exp[(self._log[a] * n) % (self.q - 1)]
 
     def frobenius(self, a: int) -> int:
         """The p-power map; its l-fold iterate is the identity."""
@@ -298,52 +281,28 @@ class FiniteField:
         return s
 
     def is_square(self, a: int) -> bool:
-        """In characteristic 2 every element is a square."""
+        """In characteristic 2 every element is a square; in odd
+        characteristic a nonzero a is one iff its discrete log is even."""
         if self.p == 2 or a == 0:
             return True
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return self._log[a] % 2 == 0
 
     def sqrt(self, a: int) -> int | None:
         """A square root of a, or None.
 
-        Deterministic choice: the root with the smaller encoding.  In
-        characteristic 2 the squaring map is bijective, so a^(q/2) is the
-        unique root; odd characteristic runs Tonelli-Shanks.
+        Read from the discrete log k of a.  In characteristic 2, q-1 is odd,
+        so an odd k is replaced by k+q-1 and g^(k/2) is the unique root.  In
+        odd characteristic the roots are the two g^(k/2) for even k; the one
+        with the smaller encoding is returned.
         """
         if a == 0:
             return 0
+        k = self._log[a]
         if self.p == 2:
-            return self.pow(a, self.q // 2)
-        if self.pow(a, (self.q - 1) // 2) != 1:
+            return self._exp[(k if k % 2 == 0 else k + self.q - 1) // 2]
+        if not self.is_square(a):
             return None
-        q1 = self.q - 1
-        t, s = q1, 0
-        while t % 2 == 0:
-            t //= 2
-            s += 1
-        if s == 1:
-            y = self.pow(a, (self.q + 1) // 4)
-        else:
-            if self._nonresidue is None:
-                e = 2
-                while self.is_square(e):
-                    e += 1
-                self._nonresidue = e
-            c = self.pow(self._nonresidue, t)
-            y = self.pow(a, (t + 1) // 2)
-            r = self.pow(a, t)
-            m = s
-            while r != 1:
-                i = 0
-                rr = r
-                while rr != 1:
-                    rr = self.mul(rr, rr)
-                    i += 1
-                b = self.pow(c, 1 << (m - i - 1))
-                y = self.mul(y, b)
-                c = self.mul(b, b)
-                r = self.mul(r, c)
-                m = i
+        y = self._exp[k // 2]
         return min(y, self.neg(y))
 
     def _artin_schreier_root(self, d: int) -> int | None:

@@ -502,22 +502,21 @@ def _set_config_line(cfg: SuiteConfig, line: str) -> None:
     key, _, value = line.partition("=")
     key = key.strip()
     value = value.strip()
-    if key == "qs":
-        cfg.qs = tuple(int(v) for v in value.split())
+    if key in ("qs", "hb1f_full_qs", "hb1f_reduced_qs", "trace_scans"):
+        values = tuple(int(v) for v in value.split())
+        if len(set(values)) < len(values):  # it would run and report twice
+            raise ValueError("repeated value")
+        setattr(cfg, "trace_scan_degrees" if key == "trace_scans" else key, values)
     elif key == "c1f_full_max_q":
         cfg.c1f_full_max_q = int(value)
-    elif key == "hb1f_full_qs":
-        cfg.hb1f_full_qs = tuple(int(v) for v in value.split())
-    elif key == "hb1f_reduced_qs":
-        cfg.hb1f_reduced_qs = tuple(int(v) for v in value.split())
     elif key == "hb1f_sampled":
         entries = []
         for part in value.split():
             q, n, seed = part.split(":")
             entries.append((int(q), int(n), int(seed)))
+        if len(set(entries)) < len(entries):
+            raise ValueError("repeated value")
         cfg.hb1f_sampled = tuple(entries)
-    elif key == "trace_scans":
-        cfg.trace_scan_degrees = tuple(int(v) for v in value.split())
     elif key == "time_budget":
         cfg.time_budget = time_budget_seconds(value)
     elif key.startswith("expect_"):
@@ -596,15 +595,20 @@ class SuiteReport:
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run every configured check and compare computed against predicted.
 
-    An entry for a q outside cfg.qs, except in hb1f_full_qs, is a UsageError.
+    An entry that no check reads is a UsageError: one for a q outside
+    cfg.qs (hb1f_full_qs excepted), or an hb1f expectation at a q that no
+    HB1F sweep covers.
     """
     time_budget_seconds(cfg.time_budget)
+    hb1f_qs = {*cfg.hb1f_full_qs, *cfg.hb1f_reduced_qs, *(q for q, _, _ in cfg.hb1f_sampled)}
     strays = [f"hb1f_reduced_qs {q}" for q in cfg.hb1f_reduced_qs if q not in cfg.qs]
     strays += [f"hb1f_sampled {q}:{n}:{seed}" for q, n, seed in cfg.hb1f_sampled
                if q not in cfg.qs]
-    strays += [f"expect_{prop}_{q}" for prop, q in cfg.expectations if q not in cfg.qs]
+    strays += [f"expect_{prop}_{q}" for prop, q in cfg.expectations
+               if q not in cfg.qs or (prop == "hb1f" and q not in hb1f_qs)]
     if strays:
-        raise UsageError(f"{', '.join(strays)}: q not in qs {' '.join(map(str, cfg.qs))}")
+        raise UsageError(f"{', '.join(strays)}: matches no check run for qs "
+                         f"{' '.join(map(str, cfg.qs))}")
     entries = []
     discrepancies = 0
     indeterminates = 0

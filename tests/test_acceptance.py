@@ -257,6 +257,15 @@ def test_criterion_9_gf125_subfield_triple(factorisations):
 
 
 @pytest.mark.slow
+def test_trace_scan_degree_17():
+    scan = char2_uniformity_scan(17)
+    assert len(scan["witnesses_eq4"]) == 65_484
+    assert scan["poly_root_count"] == 65_586
+    assert scan["root_bound"] == 98_304
+    assert scan["all_trace1"] is False
+
+
+@pytest.mark.slow
 def test_criterion_9_hamilton_berge_q32_reduced(factorisations):
     with criterion("9c Hamilton Berge reduced sweep at q=32"):
         t0 = time.monotonic()

@@ -216,6 +216,20 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
     assert code == 3 and out == ""
     assert "hb1f_sampled 128:10:7" in err and "hb1f_reduced_qs 32" in err
+    # an expectation that no check of the suite reads
+    cfg.write_text("qs = 5 11\nhb1f_full_qs = 5\nexpect_hb1f_11 = false\n")
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "expect_hb1f_11" in err
+    cfg.write_text("qs = 5 5\n")
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "qs = 5 5" in err
+    # a factorisation too large to hold is refused before it is built
+    for argv in (["construct", "--q", "2048"], ["check", "c1f", "--q", "512"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "above the cap" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,9 +17,16 @@ from trifactor.factorisation import (
     load_factorisation,
     verify_partition,
 )
-from trifactor.field import InvariantError, UsageError, field
+from trifactor.field import InvariantError, OutOfRangeError, UsageError, field
 from trifactor.projline import Mobius, affine_map, base_map, orbit_map
 from trifactor.verifier import field_for
+
+
+def test_build_refuses_more_edges_than_the_cap():
+    # q=227 is the largest admissible prime whose C(q+1, 3) edges fit
+    assert math.comb(228, 3) <= factorisation.MAX_EDGES < math.comb(234, 3)
+    with pytest.raises(OutOfRangeError, match="q=233 has 2108184 edges"):
+        build_factorisation(field_for(233))
 
 
 def test_base_factor_q2():

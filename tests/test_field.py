@@ -188,11 +188,15 @@ def test_sqrt_examples():
 
 
 def test_sqrt_exhaustive():
-    for p, l in [(2, 3), (11, 1), (13, 1), (5, 3), (2, 4)]:
+    # 2-adic valuations s of q-1 from 1 to 4: (17, 1) and (7, 2) have s=4,
+    # (41, 1) and (3, 2) have s=3
+    for p, l in [(2, 3), (11, 1), (13, 1), (5, 3), (2, 4), (17, 1), (7, 2),
+                 (41, 1), (3, 2)]:
         ctx = field(p, l)
         for x in ctx.elements():
             roots = [y for y in ctx.elements() if ctx.mul(y, y) == x]
             got = ctx.sqrt(x)
+            assert ctx.is_square(x) == bool(roots)
             if roots:
                 assert got == min(roots)
             else:
@@ -266,15 +270,16 @@ def test_encodings_round_trip():
         ctx.from_coeffs([0, 0, 0, 1])
 
 
-def test_untabled_field_matches_tabled_arithmetic():
-    # order above the table limit exercises the schoolbook path
-    big = field(2, 17)
-    assert big._exp is None
-    small = field(2, 3)
-    rng = random.Random(3)
-    # cross-check a few identities that do not depend on the modulus choice
-    for _ in range(20):
-        a = rng.randrange(1, big.q)
-        assert big.mul(a, big.inv(a)) == 1
-        assert big.pow(a, big.q - 1) == 1
-    assert small._exp is not None
+def test_fields_above_order_2_16_match_schoolbook_arithmetic():
+    # orders just above 2^16, in characteristic 2 and in odd characteristic
+    for ctx in (field(2, 17), field(65537)):
+        assert len(ctx._exp) == 2 * (ctx.q - 1) and len(ctx._log) == ctx.q
+        rng = random.Random(ctx.q)
+        for _ in range(200):
+            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            n = rng.randrange(-ctx.q, ctx.q)
+            assert ctx.mul(a, b) == ctx._raw_mul(a, b)
+            if a:
+                assert ctx.pow(a, abs(n)) == ctx._raw_pow(a, abs(n))
+                assert ctx.mul(ctx.pow(a, n), ctx.pow(a, -n)) == 1
+                assert ctx._raw_mul(a, ctx.inv(a)) == 1

@@ -337,6 +337,14 @@ def test_parse_config_round_trip():
         parse_config("expect_clf_17 = true")
     with pytest.raises(UsageError, match="workers = 2"):
         parse_config("workers = 2")
+    # a repeated value would run and report the same check twice
+    for key in ("qs", "hb1f_full_qs", "hb1f_reduced_qs", "trace_scans"):
+        with pytest.raises(UsageError, match=f"{key} = 5 3 5"):
+            parse_config(f"{key} = 5 3 5")
+    with pytest.raises(UsageError, match="hb1f_sampled = 8:10:3 8:10:3"):
+        parse_config("hb1f_sampled = 8:10:3 8:10:3")
+    assert parse_config("hb1f_sampled = 8:10:3 8:10:4").hb1f_sampled == (
+        (8, 10, 3), (8, 10, 4))
     for value in ("nan", "inf", "0", "-1"):
         with pytest.raises(UsageError, match=f"time_budget = {value}"):
             parse_config(f"time_budget = {value}")
@@ -349,6 +357,10 @@ def test_run_suite_rejects_entries_for_q_outside_qs():
         run_suite(SuiteConfig(qs=(5,), hb1f_reduced_qs=(32,)))
     with pytest.raises(UsageError, match="expect_c1f_17"):
         run_suite(SuiteConfig(qs=(5,), expectations={("c1f", 17): True}))
+    # an hb1f expectation at a q that no HB1F sweep covers matches no verdict
+    with pytest.raises(UsageError, match="expect_hb1f_11"):
+        run_suite(SuiteConfig(qs=(5, 11), hb1f_full_qs=(5,),
+                              expectations={("hb1f", 11): False}))
     with pytest.raises(UsageError, match="time budget nan"):
         run_suite(SuiteConfig(qs=(), time_budget=float("nan")))
 
