@@ -27,19 +27,21 @@ from .hypergraph import DEFAULT_TIME_BUDGET, pair_overlap, pair_overlap_algebrai
 from .projline import base_map, orbit_map, point_str
 from .verifier import (
     PROPERTIES,
+    SuiteConfig,
     TheoremVerdict,
     char2_uniformity_scan,
     check_c1f,
     check_hb1f,
     check_u1f,
-    default_config,
     exit_status,
     field_for,
     json_text,
     overlap_distribution,
     parse_config,
     run_suite,
+    scan_line,
     time_budget_seconds,
+    verdict_line,
 )
 
 USAGE_ERROR = 3
@@ -76,12 +78,7 @@ def _label(ctx, args) -> tuple[int, int] | None:
 
 
 def _verdict_text(v: TheoremVerdict) -> str:
-    comp = "indeterminate" if v.computed is None else str(v.computed).lower()
-    lines = [
-        f"{v.prop} q={v.q}: computed={comp} "
-        f"predicted={str(v.predicted).lower()} "
-        f"{'MISMATCH' if v.discrepancy else 'ok'}"
-    ]
+    lines = [f"{v.prop} q={v.q}: {verdict_line(v.computed, v.predicted)}"]
     if v.witness is not None:
         lines.append(f"  witness: {v.witness}")
     lines.append(f"  stats: {v.to_dict()['stats']}")
@@ -188,10 +185,7 @@ def cmd_subgroup(args) -> int:
 
 def cmd_scan_trace(args) -> int:
     scan = char2_uniformity_scan(args.l)
-    _report(args, scan,
-            f"trace scan l={args.l}: witnesses={len(scan['witnesses_eq4'])} "
-            f"all_trace1={scan['all_trace1']} "
-            f"roots={scan['poly_root_count']}<={scan['root_bound']}\n")
+    _report(args, scan, scan_line(args.l, len(scan["witnesses_eq4"]), scan) + "\n")
     return 0
 
 
@@ -200,7 +194,7 @@ def cmd_suite(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
     else:
-        cfg = default_config()
+        cfg = SuiteConfig()
     cfg.include_timings = args.timings
     report = run_suite(cfg)
     _report(args, report.to_dict(), report.to_text())

@@ -139,7 +139,9 @@ class FiniteField:
         raise InvariantError("no irreducible polynomial found")
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Product without tables: carryless for p=2, digit schoolbook else."""
+        """Product without tables: mod p, carryless for p=2, digit schoolbook else."""
+        if self.l == 1:
+            return a * b % self.p
         if self.p == 2:
             mask = self._mod_mask
             top = 1 << self.l

@@ -36,7 +36,7 @@ def full_exit_threshold(ctx: FiniteField) -> int:
     point-stabiliser families (their order-3 supply is too small when
     q = 2 mod 3), leaving A4, S4, A5 and projective groups over subfields.
     """
-    p, l, q = ctx.p, ctx.l, ctx.q
+    p, l = ctx.p, ctx.l
     bound = 60
     for r in range(1, l):
         if l % r == 0:

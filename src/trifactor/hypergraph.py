@@ -13,6 +13,7 @@ the one Berge search handles exactly that case.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from .field import FiniteField, InvariantError, UsageError
@@ -146,6 +147,7 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
     if (a, b) in {(1, 0), (neg1, 1)}:
         raise UsageError("label denotes the base factor")
     inf = ctx.q
+    s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))  # a^2 + ab + b^2
 
     # base(x) = m(x)
     if b == 0:
@@ -156,10 +158,6 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
     elif ctx.add(a, b) == one:
         direct = {one, ctx.neg(a)}
     else:
-        aa = ctx.mul(a, a)
-        ab = ctx.mul(a, b)
-        bb = ctx.mul(b, b)
-        s = ctx.add(aa, ctx.add(ab, bb))  # a^2 + ab + b^2
         coef_b = ctx.neg(ctx.sub(ctx.add(s, b), one))
         coef_c = ctx.sub(s, ctx.add(a, b))
         direct = ctx.solve_quadratic(b, coef_b, coef_c)
@@ -173,10 +171,6 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
     elif ctx.add(a, b) == 0:
         inverse = {0, ctx.sub(one, a)}
     else:
-        aa = ctx.mul(a, a)
-        ab = ctx.mul(a, b)
-        bb = ctx.mul(b, b)
-        s = ctx.add(aa, ctx.add(ab, bb))
         coef_a = ctx.sub(one, b)
         coef_b = ctx.sub(s, ctx.add(ctx.add(a, b), one))
         coef_c = ctx.add(a, b)
@@ -233,12 +227,8 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
         return None
 
     n = h1.n
-    edge_multiset2: dict[Edge, int] = {}
-    for e in h2.edges:
-        edge_multiset2[e] = edge_multiset2.get(e, 0) + 1
-    edge_multiset1: dict[Edge, int] = {}
-    for e in h1.edges:
-        edge_multiset1[e] = edge_multiset1.get(e, 0) + 1
+    edge_multiset1 = Counter(h1.edges)
+    edge_multiset2 = Counter(h2.edges)
 
     # order vertices of h1 so each new vertex touches mapped ones when possible
     order: list[int] = []
@@ -279,7 +269,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
             e = h1.edges[ei]
             if all(mapping[x] >= 0 or x == v for x in e):
                 img = tuple(sorted(w if x == v else mapping[x] for x in e))
-                if edge_multiset2.get(img, 0) != edge_multiset1[e]:
+                if edge_multiset2[img] != edge_multiset1[e]:
                     return False
         return True
 

@@ -122,8 +122,20 @@ class TheoremVerdict:
         }
 
 
-def _label_json(ctx: FiniteField, label: tuple[int, int]) -> list[str]:
-    return [ctx.element_str(label[0]), ctx.element_str(label[1])]
+def _labels_json(fact: Factorisation, indices) -> list[list[str]]:
+    """The labels of the factors at indices, as element strings: a witness."""
+    element_str = fact.ctx.element_str
+    return [[element_str(a), element_str(b)]
+            for a, b in (fact.factors[i].label for i in indices)]
+
+
+def _sweep(nf: int, k: int, mode: str):
+    """The k-subsets of range(nf), lazily: all in full mode, those with 0 in reduced."""
+    if mode == "full":
+        return itertools.combinations(range(nf), k)
+    if mode == "reduced":
+        return ((0, *rest) for rest in itertools.combinations(range(1, nf), k - 1))
+    raise UsageError(f"unknown mode {mode!r}")
 
 
 def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
@@ -135,13 +147,7 @@ def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
     """
     ctx = fact.ctx
     n = ctx.q + 1
-    nf = len(fact.factors)
-    if mode == "reduced":
-        pairs = ((0, j) for j in range(1, nf))
-    elif mode == "full":
-        pairs = itertools.combinations(range(nf), 2)
-    else:
-        raise UsageError(f"unknown mode {mode!r}")
+    pairs = _sweep(len(fact.factors), 2, mode)
     t0 = time.monotonic()
     witness = None
     connected_all = True
@@ -152,13 +158,8 @@ def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
         if not is_connected(h):
             connected_all = False
             if witness is None:
-                witness = {
-                    "pair": [
-                        _label_json(ctx, fact.factors[i].label),
-                        _label_json(ctx, fact.factors[j].label),
-                    ],
-                    "components": components(h),
-                }
+                witness = {"pair": _labels_json(fact, (i, j)),
+                           "components": components(h)}
     return TheoremVerdict(
         ctx.q,
         "c1f",
@@ -183,8 +184,7 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     by it must be the reference's, else InvariantError.  The UC1F verdict
     adds connectivity of that reference.
     """
-    ctx = fact.ctx
-    q = ctx.q
+    q = fact.ctx.q
     n = q + 1
     nf = len(fact.factors)
     t0 = time.monotonic()
@@ -197,13 +197,7 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
         r = pair_overlap(base, fact.factors[j])
         if r.count != 2:
             computed = False
-            witness = {
-                "pair": [
-                    _label_json(ctx, base.label),
-                    _label_json(ctx, fact.factors[j].label),
-                ],
-                "overlap": r.count,
-            }
+            witness = {"pair": _labels_json(fact, (0, j)), "overlap": r.count}
             break
     iso_tasks = 0
     reference = None
@@ -217,13 +211,8 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
             mapping = find_isomorphism(h, reference)
             if mapping is None:
                 computed = False
-                witness = {
-                    "pair": [
-                        _label_json(ctx, fact.factors[i].label),
-                        _label_json(ctx, fact.factors[j].label),
-                    ],
-                    "reason": "not_isomorphic",
-                }
+                witness = {"pair": _labels_json(fact, (i, j)),
+                           "reason": "not_isomorphic"}
                 break
             if apply_isomorphism(h, mapping) != reference_edges:
                 raise InvariantError(f"the isomorphism of pair {(i, j)} fails its replay")
@@ -336,26 +325,21 @@ def check_hb1f(
     time_budget_seconds(time_budget)
     if mode != "sampled" and (samples is not None or seed is not None):
         raise UsageError(f"samples and seed apply to sampled mode only, not {mode!r}")
-    ctx = fact.ctx
-    q = ctx.q
+    q = fact.ctx.q
     nf = len(fact.factors)
     t0 = time.monotonic()
-    if mode == "full":
-        triples = list(itertools.combinations(range(nf), 3))
-    elif mode == "reduced":
-        triples = [(0, i, j) for i, j in itertools.combinations(range(1, nf), 2)]
-    elif mode == "sampled":
+    if mode == "sampled":
         if samples is None or seed is None:
             raise UsageError("sampled mode needs samples and seed")
         if samples < 1 or nf < 3:
             raise UsageError(f"sampled mode needs samples >= 1 and at least 3 "
                              f"factors, got {samples} and {nf}")
         rng = random.Random(seed)
-        drawn = [tuple(sorted(rng.sample(range(nf), 3))) for _ in range(samples)]
         # draws repeat; certify each distinct triple once, in first-draw order
-        triples = list(dict.fromkeys(drawn))
+        triples = dict.fromkeys(tuple(sorted(rng.sample(range(nf), 3)))
+                                for _ in range(samples))
     else:
-        raise UsageError(f"unknown mode {mode!r}")
+        triples = list(_sweep(nf, 3, mode))
 
     results = _hb1f_check_triples(fact, triples, time_budget)
 
@@ -365,11 +349,8 @@ def check_hb1f(
     for t, status in results:
         if status in ("disconnected", "none"):
             if witness is None:
-                labels = [_label_json(ctx, fact.factors[i].label) for i in t]
-                witness = {
-                    "triple": labels,
-                    "disconnected": status == "disconnected",
-                }
+                witness = {"triple": _labels_json(fact, t),
+                           "disconnected": status == "disconnected"}
             computed = False
         elif status == "timeout":
             timeouts += 1
@@ -457,6 +438,21 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def verdict_line(computed: bool | None, predicted: bool) -> str:
+    """The text of a verdict, marked ok, MISMATCH or INDETERMINATE."""
+    if computed is None:
+        comp, mark = "indeterminate", "INDETERMINATE"
+    else:
+        comp, mark = str(computed).lower(), "ok" if computed == predicted else "MISMATCH"
+    return f"computed={comp} predicted={str(predicted).lower()} {mark}"
+
+
+def scan_line(l, witnesses: int, scan: dict) -> str:
+    """The text of a trace scan of degree l with its witness count."""
+    return (f"trace scan l={l}: witnesses={witnesses} all_trace1={scan['all_trace1']} "
+            f"roots={scan['poly_root_count']}<={scan['root_bound']}")
+
+
 @dataclass
 class SuiteConfig:
     qs: tuple[int, ...] = SUPPORTED_Q
@@ -530,10 +526,6 @@ def _set_config_line(cfg: SuiteConfig, line: str) -> None:
         raise ValueError(f"unknown config key {key!r}")
 
 
-def default_config() -> SuiteConfig:
-    return SuiteConfig()
-
-
 @dataclass
 class SuiteReport:
     config: dict
@@ -568,23 +560,14 @@ class SuiteReport:
                 f"partition {'ok' if con['partition_ok'] else 'BROKEN'}"
             )
             for prop in entry["properties"]:
-                comp = prop["computed"]
-                comp_text = "indeterminate" if comp is None else str(comp).lower()
-                mark = "ok" if comp == prop["predicted"] else "MISMATCH"
                 mode = prop["stats"].get("mode", "")
                 mode_text = f" [{mode}]" if mode else ""
-                lines.append(
-                    f"  {prop['name']}{mode_text}: computed={comp_text} "
-                    f"predicted={str(prop['predicted']).lower()} {mark}"
-                )
+                lines.append(f"  {prop['name']}{mode_text}: "
+                             f"{verdict_line(prop['computed'], prop['predicted'])}")
             hist = entry["overlap_histogram"]
             lines.append(f"  overlaps: {hist}")
         for l, scan in sorted(self.scans.items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                f"trace scan l={l}: witnesses={scan['witness_count']} "
-                f"all_trace1={scan['all_trace1']} "
-                f"roots={scan['poly_root_count']}<={scan['root_bound']}"
-            )
+            lines.append(scan_line(l, scan["witness_count"], scan))
         lines.append(
             f"discrepancies={self.discrepancies} "
             f"indeterminates={self.indeterminates}"
@@ -635,23 +618,12 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         u1f, uc1f = check_u1f(fact)
         note(u1f, props)
         note(uc1f, props)
-        if q in cfg.hb1f_full_qs:
-            note(
-                check_hb1f(fact, "full", time_budget=cfg.time_budget),
-                props,
-            )
-        if q in cfg.hb1f_reduced_qs:
-            note(
-                check_hb1f(fact, "reduced", time_budget=cfg.time_budget),
-                props,
-            )
-        for sq, n, seed in cfg.hb1f_sampled:
-            if sq == q:
-                note(
-                    check_hb1f(fact, "sampled", samples=n, seed=seed,
-                               time_budget=cfg.time_budget),
-                    props,
-                )
+        runs = [("full", {})] if q in cfg.hb1f_full_qs else []
+        runs += [("reduced", {})] if q in cfg.hb1f_reduced_qs else []
+        runs += [("sampled", {"samples": n, "seed": seed})
+                 for sq, n, seed in cfg.hb1f_sampled if sq == q]
+        for mode, kwargs in runs:
+            note(check_hb1f(fact, mode, time_budget=cfg.time_budget, **kwargs), props)
         entries.append(
             {
                 "q": q,

@@ -33,11 +33,11 @@ from trifactor.hypergraph import (
 )
 from trifactor.projline import base_map, orbit_map
 from trifactor.verifier import (
+    SuiteConfig,
     check_c1f,
     check_hb1f,
     check_u1f,
     char2_uniformity_scan,
-    default_config,
     field_for,
     predict_c1f,
     predict_u1f,
@@ -288,7 +288,7 @@ def test_stretch_q128_sampled_hamilton_berge():
 
 def test_criterion_10_suite_determinism():
     with criterion("10 byte-identical suite reports"):
-        cfg = default_config()
+        cfg = SuiteConfig()
         r1 = run_suite(cfg)
         r2 = run_suite(cfg)
         assert r1.to_json().encode() == r2.to_json().encode()

@@ -5,7 +5,8 @@ import pytest
 
 from trifactor.cli import build_parser, main
 from trifactor.factorisation import build_factorisation, load_factorisation
-from trifactor.verifier import field_for
+from trifactor.hypergraph import BergeSearchResult
+from trifactor.verifier import SuiteConfig, field_for, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,18 @@ def test_scan_trace(capsys):
     payload = json.loads(out)
     assert payload["witnesses_eq4"] == []
     assert payload["all_trace1"] is True
+
+
+def test_indeterminate_verdict_has_one_mark_in_both_text_outputs(monkeypatch, capsys):
+    monkeypatch.setattr("trifactor.verifier.find_hamilton_berge_cycle",
+                        lambda h, time_budget: BergeSearchResult("timeout"))
+    line = "computed=indeterminate predicted=true INDETERMINATE"
+    report = run_suite(SuiteConfig(qs=(5,), trace_scan_degrees=(), hb1f_full_qs=(5,)))
+    assert f"  hb1f [full]: {line}" in report.to_text().splitlines()
+    assert report.exit_code == 2
+    code, out, _ = run_cli(capsys, "check", "hb1f", "--q", "5", "--mode", "full")
+    assert out.splitlines()[0] == f"hb1f q=5: {line}"
+    assert code == 2
 
 
 def test_suite_config_and_exit_codes(tmp_path, capsys):

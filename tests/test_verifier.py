@@ -16,7 +16,6 @@ from trifactor.verifier import (
     check_c1f,
     check_hb1f,
     check_u1f,
-    default_config,
     factor_prime_power,
     field_for,
     overlap_distribution,
@@ -158,6 +157,13 @@ def test_check_hb1f_takes_samples_and_seed_only_in_sampled_mode(facts):
         for extra in ({"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}):
             with pytest.raises(UsageError, match="sampled mode only"):
                 check_hb1f(facts(8), mode=mode, **extra)
+
+
+def test_unknown_sweep_mode_is_a_usage_error(facts):
+    with pytest.raises(UsageError, match="unknown mode 'bogus'"):
+        check_c1f(facts(5), mode="bogus")
+    with pytest.raises(UsageError, match="unknown mode 'bogus'"):
+        check_hb1f(facts(5), "bogus")
 
 
 def counting(monkeypatch, name):
@@ -396,18 +402,22 @@ def test_suite_json_deterministic_and_text_parity():
     r1 = run_suite(cfg)
     r2 = run_suite(cfg)
     assert r1.to_json() == r2.to_json()
-    # same verdicts surface in both output formats
+    # same verdicts, with the same marks, surface in both output formats
     data = json.loads(r1.to_json())
-    text = r1.to_text()
+    lines = r1.to_text().splitlines()
     for entry in data["suite"]:
         for prop in entry["properties"]:
-            comp = prop["computed"]
-            comp_text = "indeterminate" if comp is None else str(comp).lower()
-            assert f"{prop['name']}" in text
-            assert f"computed={comp_text}" in text
+            comp, pred = prop["computed"], prop["predicted"]
+            if comp is None:
+                comp_text, mark = "indeterminate", "INDETERMINATE"
+            else:
+                comp_text, mark = str(comp).lower(), "ok" if comp == pred else "MISMATCH"
+            tail = f"computed={comp_text} predicted={str(pred).lower()} {mark}"
+            assert any(line.startswith(f"  {prop['name']}") and line.endswith(tail)
+                       for line in lines)
 
 
 def test_default_config_covers_supported_range():
-    cfg = default_config()
+    cfg = SuiteConfig()
     assert cfg.qs == (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
     assert cfg.include_timings is False
