@@ -7,8 +7,13 @@ partition is the base factor (the orbits of base_map) moved by g, infinity
 fixed.  So the base factor's orbits are computed once and every other factor
 is its affine image.  Labels (a, b) and (-a, a + b) give the same factor;
 ranging over all labels (a in F*, b in F) and keeping the first of each
-twin pair in enumeration order yields q(q-1)/2 distinct factors.
-verify_partition checks independently that they partition all triples.
+twin pair in enumeration order yields q(q-1)/2 distinct factors.  The
+build computes the q translation rows x -> x + b once, as point lists, and
+scales the base edges once per a; each factor is then the scaled edges
+moved by one row, and the twin of (a, b) is read off that row.
+verify_partition checks independently that they partition all triples,
+marking each in one byte array indexed by the triple rather than keeping
+a set of C(q+1, 3) tuples.
 
 PΓL(2,q) permutes the factors, and Factorisation.image gives that action
 from a point permutation with O(1) field operations.  Factorisation.symmetry lists N, the
@@ -21,13 +26,15 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .field import FiniteField, InvariantError, OutOfRangeError, UsageError, field
 from .projline import Mobius, base_map, invert
 
 Edge = tuple[int, int, int]
-MAX_EDGES = 2_000_000  # ~160 bytes an edge; keeps q=227, refuses q=233
+# A built edge holds ~77 bytes; building and verifying q=227 peaks at 172 MB
+# resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
+MAX_EDGES = 2_000_000
 
 
 def require_residue(q: int) -> None:
@@ -71,24 +78,22 @@ def _base_edges(ctx: FiniteField) -> tuple[Edge, ...]:
     return _orbit_edges(base_map(ctx).permutation(), ctx.q + 1)
 
 
-def _affine_image(ctx: FiniteField, edges: tuple[Edge, ...],
-                  scaled: list[int], b: int) -> tuple[Edge, ...]:
-    """edges under x -> a x + b, given scaled[x] = a x; infinity is fixed."""
-    img = [ctx.add(ax, b) for ax in scaled]
-    img.append(ctx.q)
-    return tuple(sorted(tuple(sorted((img[x], img[y], img[z])))
-                        for x, y, z in edges))
+def _moved(img: Sequence[int], edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """edges moved by the point list img, each sorted, then the whole list sorted."""
+    return tuple(sorted(tuple(sorted((img[x], img[y], img[z]))) for x, y, z in edges))
 
 
-def _scaled(ctx: FiniteField, a: int) -> list[int]:
-    return [ctx.mul(a, x) for x in range(ctx.q)]
+def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
+    """x -> op(c, x), ctx.mul or ctx.add, as a point list; infinity is fixed."""
+    return [op(c, x) for x in range(ctx.q)] + [ctx.q]
 
 
 def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
     """Orbit partition of orbit_map(a, b), as the affine image of the base."""
     if a == 0:
         raise UsageError("label scale must be nonzero")
-    return OneFactor((a, b), _affine_image(ctx, _base_edges(ctx), _scaled(ctx, a), b))
+    scaled = _moved(_row(ctx, ctx.mul, a), _base_edges(ctx))
+    return OneFactor((a, b), _moved(_row(ctx, ctx.add, b), scaled))
 
 
 class Factorisation:
@@ -183,11 +188,11 @@ class Symmetry:
     def __init__(self, fact: Factorisation):
         ctx = fact.ctx
         q = ctx.q
-        base = set(_base_edges(ctx))
+        base = _base_edges(ctx)
         gens = [Mobius(ctx, 0, 1, 1, 0).permutation(), _torus_element(ctx),
                 tuple(ctx.frobenius(x) for x in range(q)) + (q,)]
         for g in gens:
-            if {tuple(sorted((g[x], g[y], g[z]))) for x, y, z in base} != base:
+            if _moved(g, base) != base:
                 raise InvariantError(f"{g} does not fix the base factor")
         order = 2 * (q + 1) * ctx.l
         self.elements: list[tuple[int, ...]] = [tuple(range(q + 1))]
@@ -251,25 +256,27 @@ def build_factorisation(ctx: FiniteField) -> Factorisation:
 
     Label (a, b) shares its factor with its twin (-a, a + b); it points at
     the twin's factor when the twin came first, and otherwise builds a new
-    factor as the affine image of the base factor under x -> a x + b.  The
-    canonical label of a factor is thus the first one met in enumeration
-    order.  A q with more than MAX_EDGES edges is refused before building.
+    factor as the base factor scaled by a, then moved by the translation
+    row of b.  The canonical label of a factor is thus the first one met in
+    enumeration order.  A q with more than MAX_EDGES edges is refused
+    before building.
     """
     q = ctx.q
     edges = math.comb(q + 1, 3)
     if edges > MAX_EDGES:
         raise OutOfRangeError(f"q={q} has {edges} edges, above the cap {MAX_EDGES}")
     base = _base_edges(ctx)
+    shift = [_row(ctx, ctx.add, b) for b in range(q)]
     factors: list[OneFactor] = []
     label_map: dict[tuple[int, int], int] = {}
     for a in range(1, q):
         neg_a = ctx.neg(a)
-        scaled = _scaled(ctx, a)
-        for b in range(q):
-            idx = label_map.get((neg_a, ctx.add(a, b)))
+        scaled = _moved(_row(ctx, ctx.mul, a), base)
+        for b, row in enumerate(shift):
+            idx = label_map.get((neg_a, row[a]))
             if idx is None:
                 idx = len(factors)
-                factors.append(OneFactor((a, b), _affine_image(ctx, base, scaled, b)))
+                factors.append(OneFactor((a, b), _moved(row, scaled)))
             label_map[(a, b)] = idx
     return Factorisation(ctx, factors, label_map)
 
@@ -295,28 +302,35 @@ class PartitionReport:
 def verify_partition(fact: Factorisation) -> PartitionReport:
     """Check the factors partition all C(q+1, 3) triples exactly once.
 
-    An edge that is not a triple 0 <= a < b < c <= q of the line is
+    An edge that is not three points 0 <= a < b < c <= q of the line is
     reported as malformed, so it cannot stand in for a missing triple.
+    Triple (a, b, c) is byte high[a] + mid[b] + c of one n^3 array; an
+    edge neither malformed nor a duplicate covers a new triple.
     """
     n = fact.ctx.q + 1
     expected = math.comb(n, 3)
-    seen: set[Edge] = set()
+    high = [a * n * n for a in range(n)]
+    mid = [b * n for b in range(n)]
+    seen = bytearray(n**3)
     duplicates = []
     malformed = []
     total = 0
     for f in fact.factors:
+        total += len(f.edges)
         for e in f.edges:
-            total += 1
-            if e in seen:
-                duplicates.append(e)
-            elif 0 <= e[0] < e[1] < e[2] < n:
-                seen.add(e)
-            else:
-                malformed.append(e)
+            if len(e) == 3:
+                a, b, c = e
+                if 0 <= a < b < c < n:
+                    k = high[a] + mid[b] + c
+                    if seen[k]:
+                        duplicates.append(e)
+                    seen[k] = 1
+                    continue
+            malformed.append(e)
     missing = []
-    if len(seen) != expected:
+    if total - len(duplicates) - len(malformed) != expected:
         for e in combinations(range(n), 3):
-            if e not in seen:
+            if not seen[high[e[0]] + mid[e[1]] + e[2]]:
                 missing.append(e)
                 if len(missing) >= 10:
                     break

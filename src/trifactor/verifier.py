@@ -580,7 +580,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     An entry that no check reads is a UsageError: one for a q outside
     cfg.qs (hb1f_full_qs excepted), or an hb1f expectation at a q that no
-    HB1F sweep covers.
+    HB1F sweep covers.  Factors that do not partition the triples, or an
+    overlap histogram off its two sums, are an InvariantError.
     """
     time_budget_seconds(cfg.time_budget)
     hb1f_qs = {*cfg.hb1f_full_qs, *cfg.hb1f_reduced_qs, *(q for q, _, _ in cfg.hb1f_sampled)}
@@ -611,6 +612,19 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         ctx = field_for(q)
         fact = build_factorisation(ctx)
         report = verify_partition(fact)
+        if not report.ok:
+            raise InvariantError(
+                f"q={q}: {report.total_edges} edges of {report.expected_edges} do not "
+                f"partition the triples: {len(report.duplicates)} duplicated, "
+                f"{len(report.malformed)} malformed, missing {report.missing[:3]}")
+        hist = overlap_distribution(fact)
+        nf = len(fact.factors)
+        # each of the q + 1 pairs inside a base edge lies in q - 2 more
+        # triples, and each triple in one other factor
+        if (sum(hist.values()), sum(c * k for c, k in hist.items())) != (
+                nf - 1, (q + 1) * (q - 2)):
+            raise InvariantError(f"q={q}: overlap histogram {hist} does not sum to "
+                                 f"{nf - 1} factors and {(q + 1) * (q - 2)} shared pairs")
         props: list[dict] = []
         note(check_c1f(fact, mode="reduced"), props)
         if q <= cfg.c1f_full_max_q:
@@ -634,9 +648,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                     "partition_ok": report.ok,
                 },
                 "properties": props,
-                "overlap_histogram": {
-                    str(k): v for k, v in overlap_distribution(fact).items()
-                },
+                "overlap_histogram": {str(k): v for k, v in hist.items()},
             }
         )
     scans = {}

@@ -77,3 +77,19 @@ def extra_a4_pair(monkeypatch):
         return g
 
     monkeypatch.setattr(groups, "generate_subgroup", closure)
+
+
+@pytest.fixture
+def one_duplicate_edge(monkeypatch):
+    """The verifier's verify_partition, reporting the base factor's first
+    edge once more as a duplicate."""
+    import trifactor.verifier as verifier
+
+    real = verifier.verify_partition
+
+    def duplicated(fact):
+        report = real(fact)
+        report.duplicates.append(fact.factors[0].edges[0])
+        return report
+
+    monkeypatch.setattr(verifier, "verify_partition", duplicated)

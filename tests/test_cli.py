@@ -325,6 +325,14 @@ def test_tampered_union_exits_4(tamper_union, capsys):
     assert err.startswith("trifactor: internal error: InvariantError: ")
 
 
+def test_broken_partition_exits_4(one_duplicate_edge, capsys):
+    code, out, err = run_cli(capsys, "suite")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("trifactor: internal error: InvariantError: q=2: ")
+
+
 def test_single_label_commands_build_no_factorisation(monkeypatch, capsys):
     import trifactor.cli
 

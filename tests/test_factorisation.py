@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -212,9 +213,9 @@ def test_verify_partition_detects_damage():
     assert rep.duplicates and rep.missing
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 99), (0, 0, 1), (1, 0, 5)])
+@pytest.mark.parametrize("bad", [(0, 1, 99), (0, 0, 1), (1, 0, 5), (0, 1), (0, 1, 2, 3)])
 def test_verify_partition_rejects_edges_off_the_line(bad):
-    # distinct but not a triple 0 <= a < b < c <= q of the line
+    # not three points 0 <= a < b < c <= q of the line
     from trifactor.factorisation import Factorisation, OneFactor
 
     fact = build_factorisation(field(5))
@@ -223,6 +224,41 @@ def test_verify_partition_rejects_edges_off_the_line(bad):
     rep = verify_partition(Factorisation(fact.ctx, broken, dict(fact.label_map)))
     assert not rep.ok
     assert rep.malformed == [bad]
+
+
+def test_verify_partition_memory_is_one_byte_a_cell(factorisations):
+    # the triple index is one byte for each of the (q+1)^3 cells, not a set
+    # of the C(q+1, 3) edges
+    q = 59
+    fact = factorisations(q)
+    tracemalloc.start()
+    try:
+        assert verify_partition(fact).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (q + 1) ** 3
+
+
+def test_verify_partition_finds_one_moved_point_at_q125(factorisations):
+    # move the last point of factor 1's first edge so that the edge lands on
+    # a triple another factor owns: one duplicate, one triple missing
+    from trifactor.factorisation import Factorisation, OneFactor
+
+    fact = factorisations(125)
+    edge = fact.factors[1].edges[0]
+    x, y, _ = edge
+    w = next(v for v in range(126) if v not in edge)
+    moved = tuple(sorted((x, y, w)))
+    owners = [i for i, f in enumerate(fact.factors) if moved in f.edges]
+    assert len(owners) == 1 and owners[0] != 1
+    factors = list(fact.factors)
+    factors[1] = OneFactor(fact.factors[1].label, (moved,) + fact.factors[1].edges[1:])
+    rep = verify_partition(Factorisation(fact.ctx, factors, dict(fact.label_map)))
+    assert rep.total_edges == rep.expected_edges == math.comb(126, 3)
+    assert rep.duplicates == [moved]
+    assert rep.missing == [edge]
+    assert rep.malformed == []
 
 
 def test_dump_round_trip():

@@ -6,6 +6,7 @@ from trifactor.factorisation import build_factorisation
 from trifactor.field import InvariantError, UsageError, field
 from trifactor.hypergraph import (
     BergeSearchResult,
+    OverlapResult,
     pair_overlap,
     pair_overlap_algebraic,
 )
@@ -380,6 +381,28 @@ def test_run_suite_small_clean():
     assert [e["q"] for e in data["suite"]] == [2, 5, 8]
     for entry in data["suite"]:
         assert entry["construction"]["partition_ok"]
+
+
+def test_run_suite_refuses_a_broken_partition(one_duplicate_edge):
+    with pytest.raises(InvariantError, match="q=5: 20 edges of 20 do not partition "
+                                             "the triples: 1 duplicated"):
+        run_suite(SuiteConfig(qs=(5,), trace_scan_degrees=(), hb1f_full_qs=()))
+
+
+@pytest.mark.parametrize("fault", ["empty histogram", "overlap 0"])
+def test_run_suite_checks_the_overlap_histogram(monkeypatch, fault):
+    # a pair_overlap stuck at 2 would pass both sums: the mean overlap of
+    # the nf - 1 = (q + 1)(q - 2)/2 other factors is exactly 2
+    import trifactor.verifier as verifier
+
+    if fault == "empty histogram":
+        monkeypatch.setattr(verifier, "overlap_distribution", lambda fact: {})
+    else:
+        monkeypatch.setattr(verifier, "pair_overlap",
+                            lambda f1, f2: OverlapResult(0, []))
+    with pytest.raises(InvariantError, match="q=11: overlap histogram .* does not "
+                                             "sum to 54 factors and 108 shared pairs"):
+        run_suite(SuiteConfig(qs=(11,), trace_scan_degrees=(), hb1f_full_qs=()))
 
 
 def test_run_suite_expectation_override_forces_discrepancy():
