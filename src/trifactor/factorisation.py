@@ -16,8 +16,10 @@ marking each in one byte array indexed by the triple rather than keeping
 a set of C(q+1, 3) tuples.
 
 PΓL(2,q) permutes the factors, and Factorisation.image gives that action
-from a point permutation with O(1) field operations.  Factorisation.symmetry lists N, the
-stabiliser of the base factor, with its orbits on the factors.
+from a point permutation with O(1) field operations.
+Factorisation.symmetry lists N, the stabiliser of the base factor, directly
+as the products of its torus, x -> 1/x and Frobenius, with its orbits on
+the factors.
 """
 
 from __future__ import annotations
@@ -158,54 +160,47 @@ class Factorisation:
         return Symmetry(self)
 
 
-def _torus_element(ctx: FiniteField) -> tuple[int, ...]:
-    """x I + F for the first x whose point permutation has a cycle of
-    length q + 1, F the base map's matrix; it generates the torus of F."""
-    q = ctx.q
-    for x in range(q):
-        perm = Mobius(ctx, x, 1, ctx.neg(1), ctx.add(x, 1)).permutation()
-        length, v = 1, perm[q]
-        while v != q:
-            length, v = length + 1, perm[v]
-        if length == q + 1:
-            return perm
-    raise InvariantError(f"no torus element of order {q + 1}")
-
-
 class Symmetry:
     """N, the stabiliser of the base factor in PΓL(2,q), on the factors.
 
-    N is generated by sigma: x -> 1/x (which inverts the base map), the
-    torus element and Frobenius, and has order 2(q+1)l.  It is small, so
-    it is listed outright: elements[k] is a point permutation and
-    elements[0] the identity.  rep[i] is the least factor of i's N-orbit
-    and elements[tau[i]] moves i there; stabiliser[r] lists the elements
-    that fix the representative r.  Each generator must map the base factor
-    onto itself, N must have its order, and the orbits must pass
-    orbit-stabiliser and partition the factors, or InvariantError.
+    N has order 2(q+1)l and is listed outright as the products
+    phi^k o sigma^e o t: t in the torus {I} ∪ {x I + F : x in GF(q)} of the
+    base matrix F (det x^2 + x + 1 is nonzero as q = 2 mod 3), sigma:
+    x -> 1/x, which inverts F, and Frobenius phi, which fixes it.
+    elements[k] is a point permutation and elements[0] the identity.
+    rep[i] is the least factor of i's N-orbit and elements[tau[i]] moves i
+    there; stabiliser[r] lists the elements that fix the representative r.
+    Each t, sigma and phi must map the base factor onto itself, the
+    products must be distinct with every inverse listed, and the orbits
+    must pass orbit-stabiliser and partition the factors, or InvariantError.
     """
 
     def __init__(self, fact: Factorisation):
         ctx = fact.ctx
         q = ctx.q
         base = _base_edges(ctx)
-        gens = [Mobius(ctx, 0, 1, 1, 0).permutation(), _torus_element(ctx),
-                tuple(ctx.frobenius(x) for x in range(q)) + (q,)]
-        for g in gens:
+        identity = tuple(range(q + 1))
+        torus = [identity] + [Mobius(ctx, x, 1, ctx.neg(1), ctx.add(x, 1)).permutation()
+                              for x in range(q)]
+        sigma = Mobius(ctx, 0, 1, 1, 0).permutation()
+        phi = tuple(ctx.frobenius(x) for x in range(q)) + (q,)
+        for g in torus + [sigma, phi]:
             if _moved(g, base) != base:
                 raise InvariantError(f"{g} does not fix the base factor")
+        powers = [identity]  # phi^k for k < l
+        for _ in range(ctx.l - 1):
+            powers.append(tuple(phi[v] for v in powers[-1]))
+        heads = [h for f in powers for h in (f, tuple(f[v] for v in sigma))]
+        self.elements: list[tuple[int, ...]] = [tuple(h[v] for v in t)
+                                                for h in heads for t in torus]
         order = 2 * (q + 1) * ctx.l
-        self.elements: list[tuple[int, ...]] = [tuple(range(q + 1))]
-        index = {self.elements[0]: 0}
-        for e in self.elements:  # grows as new products appear
-            for g in gens:
-                ge = tuple(g[v] for v in e)
-                if ge not in index:
-                    if len(index) == order:
-                        raise InvariantError(f"N has more than {order} elements")
-                    index[ge] = len(self.elements)
-                    self.elements.append(ge)
-        inverse = [index[invert(e)] for e in self.elements]
+        index = {e: k for k, e in enumerate(self.elements)}
+        if len(index) != order:
+            raise InvariantError(f"N lists {len(index)} distinct elements, not {order}")
+        inverse = [index.get(invert(e), -1) for e in self.elements]
+        if -1 in inverse:
+            raise InvariantError(f"the inverse of element {inverse.index(-1)} "
+                                 f"is not in N")
 
         nf = len(fact.factors)
         self.rep: list[int] = [-1] * nf

@@ -15,13 +15,15 @@ external polynomial table.
 Every field builds exp/log tables for a multiplicative generator g, so
 mul, inv, pow, sqrt and odd-extension neg are table lookups at every order
 up to the construction cap of 2^20.  Schoolbook products (_raw_mul) only
-build the tables.
+build the tables.  An odd extension adds by Zech logarithms:
+zech[k] = log(1 + g^k), so a + b = a (1 + b/a) is four lookups (Huber,
+"Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990).
+Characteristic 2 adds by xor and a prime field mod p.
 """
 
 from __future__ import annotations
 
 MAX_ORDER = 1 << 20
-_ADD_TABLE_LIMIT = 512
 
 
 class UsageError(ValueError):
@@ -119,7 +121,6 @@ class FiniteField:
         self._mod_mask = None
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
-        self._add_table = None
         self._as_basis = None
         self._build_tables()
 
@@ -200,33 +201,24 @@ class FiniteField:
             raise InvariantError(f"generator {g} does not have order {q - 1}")
         self._exp = exp
         self._log = log
-        # Digit-wise addition is what makes odd extensions slow: the table
-        # builds the q=125 factorisation about three times faster.  A
-        # negation table gained nothing measurable there and is not kept.
-        if self.p != 2 and self.l > 1 and q <= _ADD_TABLE_LIMIT:
-            self._add_table = [
-                [self._add_digits(a, b) for b in range(q)] for a in range(q)
-            ]
+        if self.p != 2 and self.l > 1:
+            # 1 + v adds 1 mod p to the constant digit; -1 marks 1 + v = 0
+            p = self.p
+            self._zech = [-1 if v == p - 1 else log[v + 1 - p * (v % p == p - 1)]
+                          for v in exp[:q - 1]]
 
     # -- basic arithmetic --------------------------------------------------
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        for m in self._powers:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * m
-        return out
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.l == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_digits(a, b)
+        if a == 0 or b == 0:
+            return a or b
+        k = self._log[a]
+        z = self._zech[(self._log[b] - k) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[k + z]
 
     def neg(self, a: int) -> int:
         """In odd characteristic -1 = g^((q-1)/2)."""

@@ -18,8 +18,14 @@ from trifactor.factorisation import (
     load_factorisation,
     verify_partition,
 )
-from trifactor.field import InvariantError, OutOfRangeError, UsageError, field
-from trifactor.projline import Mobius, affine_map, base_map, orbit_map
+from trifactor.field import (
+    FiniteField,
+    InvariantError,
+    OutOfRangeError,
+    UsageError,
+    field,
+)
+from trifactor.projline import Mobius, affine_map, invert, orbit_map
 from trifactor.verifier import field_for
 
 
@@ -170,12 +176,24 @@ def test_symmetry_orbits_certify_themselves(q, orbits):
         assert fact.image(sym.elements[sym.tau[i]], i) == sym.rep[i]
 
 
-def test_symmetry_rejects_a_short_torus_element(monkeypatch):
-    # the base map F has order 3, not q + 1 = 12, so N comes out too small
-    monkeypatch.setattr(factorisation, "_torus_element",
-                        lambda ctx: base_map(ctx).permutation())
-    with pytest.raises(InvariantError, match="order 24"):
-        build_factorisation(field_for(11)).symmetry
+def test_symmetry_rejects_a_wrong_listing_of_n(monkeypatch):
+    # with Frobenius the identity, the 2(q+1)l products at q=8 collapse to
+    # the 2(q+1) of PGL: N comes out a third of its order
+    monkeypatch.setattr(FiniteField, "frobenius", lambda self, a: a)
+    with pytest.raises(InvariantError, match="18 distinct elements, not 54"):
+        build_factorisation(field_for(8)).symmetry
+
+
+def test_symmetry_rejects_an_unlisted_inverse(monkeypatch):
+    # an inverse with the images of 0 and 1 swapped is not in PΓL(2,q)
+    def swapped(perm):
+        inv = list(invert(perm))
+        inv[0], inv[1] = inv[1], inv[0]
+        return tuple(inv)
+
+    monkeypatch.setattr(factorisation, "invert", swapped)
+    with pytest.raises(InvariantError, match="inverse of element 0 is not in N"):
+        build_factorisation(field_for(8)).symmetry
 
 
 def test_orbit_check_survives_python_O():

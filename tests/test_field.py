@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -283,3 +284,54 @@ def test_fields_above_order_2_16_match_schoolbook_arithmetic():
                 assert ctx.pow(a, abs(n)) == ctx._raw_pow(a, abs(n))
                 assert ctx.mul(ctx.pow(a, n), ctx.pow(a, -n)) == 1
                 assert ctx._raw_mul(a, ctx.inv(a)) == 1
+
+
+def digit_add(ctx, a, b, sign=1):
+    """Reference a + sign * b, coefficient by coefficient in base p."""
+    p = ctx.p
+    out, m = 0, 1
+    for _ in range(ctx.l):
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        out += (ra + sign * rb) % p * m
+        m *= p
+    return out
+
+
+@pytest.mark.parametrize("p, l", [(3, 2), (5, 2), (5, 3), (7, 2), (3, 5), (17, 2)])
+def test_zech_addition_matches_digits_exhaustively(p, l):
+    ctx = field(p, l)
+    for a in ctx.elements():
+        assert ctx.neg(a) == digit_add(ctx, 0, a, -1)
+        for b in ctx.elements():
+            assert ctx.add(a, b) == digit_add(ctx, a, b)
+            assert ctx.sub(a, b) == digit_add(ctx, a, b, -1)
+
+
+@pytest.mark.parametrize("p, l", [(11, 3), (5, 5), (5, 7)])
+def test_zech_addition_matches_digits_on_seeded_pairs(p, l):
+    # orders 1331, 3125 and 78125, above the q^2 add table earlier
+    # versions kept up to order 512
+    ctx = field(p, l)
+    rng = random.Random(ctx.q)
+    for _ in range(200_000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        assert ctx.add(a, b) == digit_add(ctx, a, b)
+        assert ctx.sub(a, b) == digit_add(ctx, a, b, -1)
+        assert ctx.neg(b) == digit_add(ctx, 0, b, -1)
+
+
+def test_arithmetic_digest_is_pinned():
+    # add, sub and mul of every pair and inv of every unit, pinned from the
+    # q^2 add table that Zech addition replaced
+    h = hashlib.sha256()
+    for p, l in [(5, 3), (7, 2), (2, 5)]:
+        ctx = field(p, l)
+        for a in ctx.elements():
+            if a:
+                h.update(ctx.inv(a).to_bytes(2, "big"))
+            for b in ctx.elements():
+                for v in (ctx.add(a, b), ctx.sub(a, b), ctx.mul(a, b)):
+                    h.update(v.to_bytes(2, "big"))
+    assert h.hexdigest() == ("a2362b302d256fc6eb5b8b3269a04bfb"
+                             "62d5c9c297a42221ebb5e744fc5e23c3")
