@@ -10,10 +10,12 @@ ranging over all labels (a in F*, b in F) and keeping the first of each
 twin pair in enumeration order yields q(q-1)/2 distinct factors.  The
 build computes the q translation rows x -> x + b once, as point lists, and
 scales the base edges once per a; each factor is then the scaled edges
-moved by one row, and the twin of (a, b) is read off that row.
-verify_partition checks independently that they partition all triples,
-marking each in one byte array indexed by the triple rather than keeping
-a set of C(q+1, 3) tuples.
+moved by one row, and the twin of (a, b) is read off that row.  A factor
+stores its edges flat, as one array('I') of points, three an edge, so a
+factorisation holds C(q+1, 3) edges without one tuple object each.
+verify_partition checks independently that each factor covers every point
+once and that they partition all triples, marking each in one byte array
+indexed by the triple rather than keeping a set of C(q+1, 3) tuples.
 
 PΓL(2,q) permutes the factors, and Factorisation.image gives that action
 from a point permutation with O(1) field operations.
@@ -26,16 +28,18 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
-from typing import Callable, Iterable, Sequence, TextIO
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .field import FiniteField, InvariantError, OutOfRangeError, UsageError, field
 from .projline import Mobius, base_map, invert
 
 Edge = tuple[int, int, int]
-# A built edge holds ~77 bytes; building and verifying q=227 peaks at 172 MB
-# resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
+# A built edge holds ~18 bytes: three 4-byte points and its share of its
+# factor's object, label and label_map entries.  Building and verifying q=227
+# peaks at 62 MB resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
 MAX_EDGES = 2_000_000
 
 
@@ -44,21 +48,38 @@ def require_residue(q: int) -> None:
         raise UsageError(f"q={q} is not 2 mod 3")
 
 
+def edges_of(points: Iterable[int]) -> Iterator[Edge]:
+    """Flat points read three at a time, as edges; a last one or two
+    points that make no edge are dropped."""
+    it = iter(points)
+    return zip(it, it, it)
+
+
 class OneFactor:
-    """A perfect matching of the q+1 points by triples, with its label."""
+    """A perfect matching of the q+1 points by triples, with its label.
 
-    __slots__ = ("label", "edges")
+    points holds the edges flat, three points an edge: the edges sorted,
+    each edge sorted.
+    """
 
-    def __init__(self, label: tuple[int, int], edges: tuple[Edge, ...]):
+    __slots__ = ("label", "points")
+
+    def __init__(self, label: tuple[int, int], points: array):
         self.label = label
-        self.edges = edges
+        self.points = points
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as triples, decoded from points on each access."""
+        return tuple(edges_of(self.points))
 
     def __repr__(self):
-        return f"OneFactor(label={self.label}, edges={len(self.edges)})"
+        return f"OneFactor(label={self.label}, edges={len(self.points) // 3})"
 
 
-def _orbit_edges(perm: tuple[int, ...], n: int) -> tuple[Edge, ...]:
-    edges = []
+def _orbit_edges(perm: tuple[int, ...], n: int) -> array:
+    """The 3-cycles of perm as flat edges, each sorted, by least point."""
+    points = array("I")
     seen = bytearray(n)
     for x in range(n):
         if seen[x]:
@@ -68,21 +89,22 @@ def _orbit_edges(perm: tuple[int, ...], n: int) -> tuple[Edge, ...]:
         if perm[z] != x or x == y:
             raise InvariantError(f"point {x} does not lie on a 3-cycle")
         seen[x] = seen[y] = seen[z] = 1
-        a, b, c = sorted((x, y, z))
-        edges.append((a, b, c))
-    return tuple(edges)
+        points.extend(sorted((x, y, z)))
+    return points
 
 
 @functools.cache
-def _base_edges(ctx: FiniteField) -> tuple[Edge, ...]:
-    """The base factor's edges, computed once per field."""
+def _base_points(ctx: FiniteField) -> array:
+    """The base factor's flat edges, computed once per field."""
     require_residue(ctx.q)
     return _orbit_edges(base_map(ctx).permutation(), ctx.q + 1)
 
 
-def _moved(img: Sequence[int], edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    """edges moved by the point list img, each sorted, then the whole list sorted."""
-    return tuple(sorted(tuple(sorted((img[x], img[y], img[z]))) for x, y, z in edges))
+def _moved(img: Sequence[int], points: Iterable[int]) -> array:
+    """Flat edges moved by the point list img, each edge sorted, then the
+    edges sorted, as flat points."""
+    moved = edges_of(map(img.__getitem__, points))
+    return array("I", chain.from_iterable(sorted(map(sorted, moved))))
 
 
 def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
@@ -94,7 +116,7 @@ def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
     """Orbit partition of orbit_map(a, b), as the affine image of the base."""
     if a == 0:
         raise UsageError("label scale must be nonzero")
-    scaled = _moved(_row(ctx, ctx.mul, a), _base_edges(ctx))
+    scaled = _moved(_row(ctx, ctx.mul, a), _base_points(ctx))
     return OneFactor((a, b), _moved(_row(ctx, ctx.add, b), scaled))
 
 
@@ -115,7 +137,7 @@ class Factorisation:
             isinstance(other, Factorisation)
             and self.ctx.p == other.ctx.p
             and self.ctx.l == other.ctx.l
-            and [f.edges for f in self.factors] == [f.edges for f in other.factors]
+            and [f.points for f in self.factors] == [f.points for f in other.factors]
             and [f.label for f in self.factors] == [f.label for f in other.factors]
         )
 
@@ -131,7 +153,7 @@ class Factorisation:
     def _partners(self) -> list[tuple[int, int]]:
         """The other two points of the base edge through each point."""
         partners = [(0, 0)] * (self.ctx.q + 1)
-        for x, y, z in _base_edges(self.ctx):
+        for x, y, z in edges_of(_base_points(self.ctx)):
             partners[x], partners[y], partners[z] = (y, z), (x, z), (x, y)
         return partners
 
@@ -178,7 +200,7 @@ class Symmetry:
     def __init__(self, fact: Factorisation):
         ctx = fact.ctx
         q = ctx.q
-        base = _base_edges(ctx)
+        base = _base_points(ctx)
         identity = tuple(range(q + 1))
         torus = [identity] + [Mobius(ctx, x, 1, ctx.neg(1), ctx.add(x, 1)).permutation()
                               for x in range(q)]
@@ -260,7 +282,7 @@ def build_factorisation(ctx: FiniteField) -> Factorisation:
     edges = math.comb(q + 1, 3)
     if edges > MAX_EDGES:
         raise OutOfRangeError(f"q={q} has {edges} edges, above the cap {MAX_EDGES}")
-    base = _base_edges(ctx)
+    base = _base_points(ctx)
     shift = [_row(ctx, ctx.add, b) for b in range(q)]
     factors: list[OneFactor] = []
     label_map: dict[tuple[int, int], int] = {}
@@ -283,6 +305,7 @@ class PartitionReport:
     duplicates: list[Edge] = dc_field(default_factory=list)
     missing: list[Edge] = dc_field(default_factory=list)
     malformed: list[Edge] = dc_field(default_factory=list)
+    not_one_factors: list[int] = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -291,16 +314,22 @@ class PartitionReport:
             and not self.duplicates
             and not self.missing
             and not self.malformed
+            and not self.not_one_factors
         )
 
 
 def verify_partition(fact: Factorisation) -> PartitionReport:
-    """Check the factors partition all C(q+1, 3) triples exactly once.
+    """Check each factor is a 1-factor and the factors partition all
+    C(q+1, 3) triples exactly once.
 
-    An edge that is not three points 0 <= a < b < c <= q of the line is
-    reported as malformed, so it cannot stand in for a missing triple.
-    Triple (a, b, c) is byte high[a] + mid[b] + c of one n^3 array; an
-    edge neither malformed nor a duplicate covers a new triple.
+    A factor whose points are not q+1 distinct points is listed in
+    not_one_factors; with every edge in range, that leaves each point
+    covered once.  Its points are read three at a time, so a count that is
+    not a multiple of 3 drops the last one or two, which that check has
+    already reported.  An edge that is not three points 0 <= a < b < c <= q
+    of the line is reported as malformed, so it cannot stand in for a
+    missing triple.  Triple (a, b, c) is byte high[a] + mid[b] + c of one
+    n^3 array; an edge neither malformed nor a duplicate covers a new triple.
     """
     n = fact.ctx.q + 1
     expected = math.comb(n, 3)
@@ -309,19 +338,21 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     seen = bytearray(n**3)
     duplicates = []
     malformed = []
+    not_one_factors = []
     total = 0
-    for f in fact.factors:
-        total += len(f.edges)
-        for e in f.edges:
-            if len(e) == 3:
-                a, b, c = e
-                if 0 <= a < b < c < n:
-                    k = high[a] + mid[b] + c
-                    if seen[k]:
-                        duplicates.append(e)
-                    seen[k] = 1
-                    continue
-            malformed.append(e)
+    for i, f in enumerate(fact.factors):
+        points = f.points
+        if len(points) != n or len(set(points)) != n:
+            not_one_factors.append(i)
+        total += len(points) // 3
+        for a, b, c in edges_of(points):
+            if 0 <= a < b < c < n:
+                k = high[a] + mid[b] + c
+                if seen[k]:
+                    duplicates.append((a, b, c))
+                seen[k] = 1
+            else:
+                malformed.append((a, b, c))
     missing = []
     if total - len(duplicates) - len(malformed) != expected:
         for e in combinations(range(n), 3):
@@ -329,7 +360,8 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
                 missing.append(e)
                 if len(missing) >= 10:
                     break
-    return PartitionReport(total, expected, duplicates, missing, malformed)
+    return PartitionReport(total, expected, duplicates, missing, malformed,
+                           not_one_factors)
 
 
 # -- text dump / load ------------------------------------------------------

@@ -7,30 +7,39 @@ closed-form case analysis of the defining maps, searches for isomorphisms
 between unions, and searches for Hamilton Berge cycles.  A union of k
 factors on n vertices has k n / 3 edges, so a Berge cycle, which needs n
 distinct edges, exists only in a 3-factor union and uses all of its edges;
-the one Berge search handles exactly that case.
+the one Berge search handles exactly that case.  A union stores its edges
+flat, as one array('I') of points, three an edge, like a one-factor; the
+searches decode them into triples once per call.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from .field import FiniteField, InvariantError, UsageError
-from .factorisation import Edge, OneFactor
+from .factorisation import Edge, OneFactor, edges_of
 from .projline import base_map
 
 DEFAULT_TIME_BUDGET = 10.0  # seconds per Hamilton Berge cycle search
 
 
 class UnionHypergraph:
-    """Edges of 2-3 one-factors on vertices 0..n-1."""
+    """Edges of 2-3 one-factors on vertices 0..n-1, flat in points: three
+    points an edge."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "points")
 
-    def __init__(self, n: int, edges: list[Edge]):
+    def __init__(self, n: int, points: array):
         self.n = n
-        self.edges = edges
+        self.points = points
+
+    @property
+    def edges(self) -> list[Edge]:
+        """The edges as triples, decoded from points on each access."""
+        return list(edges_of(self.points))
 
     def incidence(self) -> list[list[int]]:
         """Indices of the edges at each vertex, in edge order."""
@@ -42,17 +51,17 @@ class UnionHypergraph:
 
 
 def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
-    """Concatenate the edge lists of 2-3 pairwise distinct factors."""
+    """Concatenate the points of 2-3 pairwise distinct factors."""
     if not 2 <= len(factors) <= 3:
         raise ValueError("union takes 2 or 3 factors")
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            if factors[i].edges == factors[j].edges:
+            if factors[i].points == factors[j].points:
                 raise ValueError("factors must be distinct")
-    edges: list[Edge] = []
+    points = array("I")
     for f in factors:
-        edges.extend(f.edges)
-    return UnionHypergraph(n, edges)
+        points += f.points
+    return UnionHypergraph(n, points)
 
 
 def _merge_edges(h: UnionHypergraph) -> tuple[list[int], int]:
@@ -60,7 +69,7 @@ def _merge_edges(h: UnionHypergraph) -> tuple[list[int], int]:
     number of components."""
     parent = list(range(h.n))
     count = h.n
-    for a, b, c in h.edges:
+    for a, b, c in edges_of(h.points):
         # find each root, halving the path on the way
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -117,13 +126,13 @@ def pair_overlap(f1: OneFactor, f2: OneFactor) -> OverlapResult:
     block[v] is the index of the f1 edge holding v; a pair of an f2 edge is
     repeated when both its points fall in one block.
     """
-    if f1.edges == f2.edges:
+    if f1.points == f2.points:
         raise ValueError("pair overlap needs two distinct factors")
-    block = [0] * (3 * len(f1.edges))
-    for i, (x, y, z) in enumerate(f1.edges):
+    block = [0] * len(f1.points)
+    for i, (x, y, z) in enumerate(edges_of(f1.points)):
         block[x] = block[y] = block[z] = i
     common = []
-    for x, y, z in f2.edges:
+    for x, y, z in edges_of(f2.points):
         if block[x] == block[y]:
             common.append((x, y))
         if block[x] == block[z]:
@@ -195,7 +204,7 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
 
 def _pair_degrees(h: UnionHypergraph) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for x, y, z in h.edges:
+    for x, y, z in edges_of(h.points):
         for pair in ((x, y), (x, z), (y, z)):
             out[pair] = out.get(pair, 0) + 1
     return out
@@ -210,8 +219,9 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
     """
     if h1.n != h2.n:
         raise ValueError(f"vertex counts differ: {h1.n} != {h2.n}")
-    if len(h1.edges) != len(h2.edges):
+    if len(h1.points) != len(h2.points):
         return None
+    edges1 = h1.edges
     inc1 = h1.incidence()
     deg1 = [len(inc) for inc in inc1]
     deg2 = [len(inc) for inc in h2.incidence()]
@@ -227,7 +237,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
         return None
 
     n = h1.n
-    edge_multiset1 = Counter(h1.edges)
+    edge_multiset1 = Counter(edges1)
     edge_multiset2 = Counter(h2.edges)
 
     # order vertices of h1 so each new vertex touches mapped ones when possible
@@ -242,7 +252,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
             v = queue.pop(0)
             order.append(v)
             for ei in inc1[v]:
-                for w in h1.edges[ei]:
+                for w in edges1[ei]:
                     if not placed[w]:
                         placed[w] = True
                         queue.append(w)
@@ -266,7 +276,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
                 return False
         # any fully-mapped edge must land on an edge of h2 with same multiplicity
         for ei in inc1[v]:
-            e = h1.edges[ei]
+            e = edges1[ei]
             if all(mapping[x] >= 0 or x == v for x in e):
                 img = tuple(sorted(w if x == v else mapping[x] for x in e))
                 if edge_multiset2[img] != edge_multiset1[e]:
@@ -295,7 +305,7 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
 
 def apply_isomorphism(h: UnionHypergraph, mapping: list[int]) -> list[Edge]:
     """Image of h's edges under a vertex mapping, sorted: a multiset to replay."""
-    return sorted(tuple(sorted(mapping[v] for v in e)) for e in h.edges)
+    return sorted(tuple(sorted(e)) for e in edges_of(map(mapping.__getitem__, h.points)))
 
 
 # -- Hamilton Berge cycles ---------------------------------------------------
@@ -335,11 +345,9 @@ def _cycle_by_leftout(h: UnionHypergraph, deadline: float) -> BergeSearchResult:
     then forces it to be Hamiltonian.
     """
     n = h.n
-    edges = h.edges
-    m = len(edges)
-
     # each edge's left-out choices (u, s, t): u left out, s-t hosted
-    options = [((a, b, c), (b, a, c), (c, a, b)) for a, b, c in edges]
+    options = [((a, b, c), (b, a, c), (c, a, b)) for a, b, c in edges_of(h.points)]
+    m = len(options)
     free = list(range(m))  # unassigned edges, in index order
     vertex_out = [False] * n
     cover = [0] * n
@@ -437,7 +445,7 @@ def find_hamilton_berge_cycle(
     an exhausted search.
     """
     n = h.n
-    m = len(h.edges)
+    m = len(h.points) // 3
     if m > n:
         raise ValueError(f"{m} edges on {n} vertices: the search needs m <= n")
     if m < n:
@@ -450,15 +458,16 @@ def validate_berge_cycle(h: UnionHypergraph, result: BergeSearchResult) -> bool:
     if not result.found:
         return False
     vs, es = result.vertices, result.edge_indices
+    edges = h.edges
     if len(vs) != h.n or len(set(vs)) != h.n:
         return False
     if len(es) != h.n or len(set(es)) != h.n:
         return False
-    if not set(es).issubset(range(len(h.edges))):
+    if not set(es).issubset(range(len(edges))):
         return False
     for i, ei in enumerate(es):
         a = vs[i]
         b = vs[(i + 1) % h.n]
-        if a not in h.edges[ei] or b not in h.edges[ei]:
+        if a not in edges[ei] or b not in edges[ei]:
             return False
     return True

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 from .factorisation import (
     Factorisation,
     build_factorisation,
+    edges_of,
     require_residue,
     verify_partition,
 )
@@ -284,7 +285,7 @@ def _hb1f_check_triples(
         # s∘tau∘(x -> a x + b)^-1 moves t onto its key; bit[v] marks v's image
         g, t_fwd = elements[s], elements[tau]
         bit = [1 << g[t_fwd[v]] for v in affine(m)]
-        codes = sorted(bit[x] | bit[y] | bit[z] for x, y, z in h.edges)
+        codes = sorted(bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points))
         if key not in checked:
             if not is_connected(h):
                 status = "disconnected"
@@ -580,8 +581,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     An entry that no check reads is a UsageError: one for a q outside
     cfg.qs (hb1f_full_qs excepted), or an hb1f expectation at a q that no
-    HB1F sweep covers.  Factors that do not partition the triples, or an
-    overlap histogram off its two sums, are an InvariantError.
+    HB1F sweep covers.  Factors that are not 1-factors or do not partition
+    the triples, or an overlap histogram off its two sums, are an
+    InvariantError.
     """
     time_budget_seconds(cfg.time_budget)
     hb1f_qs = {*cfg.hb1f_full_qs, *cfg.hb1f_reduced_qs, *(q for q, _, _ in cfg.hb1f_sampled)}
@@ -616,7 +618,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             raise InvariantError(
                 f"q={q}: {report.total_edges} edges of {report.expected_edges} do not "
                 f"partition the triples: {len(report.duplicates)} duplicated, "
-                f"{len(report.malformed)} malformed, missing {report.missing[:3]}")
+                f"{len(report.malformed)} malformed, missing {report.missing[:3]}, "
+                f"factors {report.not_one_factors[:3]} not covering each point once")
         hist = overlap_distribution(fact)
         nf = len(fact.factors)
         # each of the q + 1 pairs inside a base edge lies in q - 2 more

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from trifactor.factorisation import build_factorisation
@@ -21,8 +23,10 @@ def factorisations():
 @pytest.fixture
 def tamper_union(monkeypatch):
     """tamper_union(at) swaps a point between the first two edges of the
-    union that the verifier's union_hypergraph builds on call number at."""
+    union that the verifier's union_hypergraph builds on call number at:
+    that call returns a new union with the two points swapped."""
     import trifactor.verifier as verifier
+    from trifactor.hypergraph import UnionHypergraph
 
     real = verifier.union_hypergraph
 
@@ -33,8 +37,9 @@ def tamper_union(monkeypatch):
             h = real(n, factors)
             built.append(h)
             if len(built) == at:
-                (x, y, z), (u, v, w) = h.edges[0], h.edges[1]
-                h.edges[0], h.edges[1] = tuple(sorted((x, y, w))), tuple(sorted((u, v, z)))
+                x, y, z, u, v, w = h.points[:6]
+                swapped = array("I", [*sorted((x, y, w)), *sorted((u, v, z))])
+                h = UnionHypergraph(n, swapped + h.points[6:])
             return h
 
         monkeypatch.setattr(verifier, "union_hypergraph", tampered)

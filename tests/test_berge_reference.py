@@ -10,6 +10,7 @@ including the node at which an expired deadline stops the search.
 import itertools
 import random
 import time
+from array import array
 
 from trifactor.factorisation import build_one_factor
 from trifactor.field import field
@@ -177,18 +178,21 @@ def test_q125_subfield_triple():
 
 
 def _partition_union(rng, n, offset=0):
-    """Edges of three random partitions of offset..offset+n-1 into triples."""
-    edges = []
+    """Flat edges of three random partitions of offset..offset+n-1 into triples."""
+    points = array("I")
     for _ in range(3):
         vs = list(range(offset, offset + n))
         rng.shuffle(vs)
-        edges += [tuple(sorted(vs[i : i + 3])) for i in range(0, n, 3)]
-    return edges
+        for i in range(0, n, 3):
+            points.extend(sorted(vs[i : i + 3]))
+    return points
 
 
 def _random_hypergraph(rng, n):
-    return UnionHypergraph(n, [tuple(sorted(rng.sample(range(n), 3)))
-                               for _ in range(n)])
+    points = array("I")
+    for _ in range(n):
+        points.extend(sorted(rng.sample(range(n), 3)))
+    return UnionHypergraph(n, points)
 
 
 def test_unions_of_random_partitions():

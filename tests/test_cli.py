@@ -98,6 +98,25 @@ def test_overlap_single_label(capsys):
     assert payload["agree"] is True
 
 
+def test_overlap_with_points_above_255(capsys):
+    # q=3125: the factors hold points up to 3125, past one byte; the output
+    # is pinned as computed with one tuple per edge
+    code, out, _ = run_cli(capsys, "overlap", "--q", "3125", "--alpha", "2",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "agree": True,
+        "algebraic": 2,
+        "alpha": "2,0,0,0,0",
+        "beta": "0,0,0,0,0",
+        "combinatorial": 2,
+        "direct_solutions": [4, 3125],
+        "inverse_solutions": [],
+        "q": 3125,
+        "repeated_pairs": [[0, 3125], [3, 4]],
+    }
+
+
 def test_overlap_histogram(capsys):
     code, out, _ = run_cli(capsys, "overlap", "--q", "5", "--format", "json")
     assert code == 0

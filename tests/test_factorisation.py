@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -223,25 +224,71 @@ def test_verify_partition_detects_damage():
     from trifactor.factorisation import Factorisation, OneFactor
 
     broken = [
-        OneFactor(f.label, f.edges if i != 3 else fact.factors[0].edges)
+        OneFactor(f.label, f.points if i != 3 else fact.factors[0].points)
         for i, f in enumerate(fact.factors)
     ]
     rep = verify_partition(Factorisation(fact.ctx, broken, dict(fact.label_map)))
     assert not rep.ok
     assert rep.duplicates and rep.missing
+    assert rep.not_one_factors == []
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 99), (0, 0, 1), (1, 0, 5), (0, 1), (0, 1, 2, 3)])
+# a first edge of the q=5 base factor (0 1 5 | 2 3 4) that is not three
+# points 0 <= a < b < c <= q of the line: the malformed triples read from
+# the flat points, and the factors not covering each point once
+OFF_THE_LINE = {
+    (0, 1, 99): ([(0, 1, 99)], []),
+    (0, 0, 1): ([(0, 0, 1)], [0]),
+    (1, 0, 5): ([(1, 0, 5)], []),
+    (0, 1): ([], [0]),  # 0 1 2 3 4: reads (0, 1, 2), drops 3 and 4
+    (0, 1, 2, 3): ([(3, 2, 3)], [0]),  # 0 1 2 3 2 3 4: drops 4
+}
+
+
+@pytest.mark.parametrize("bad", list(OFF_THE_LINE))
 def test_verify_partition_rejects_edges_off_the_line(bad):
-    # not three points 0 <= a < b < c <= q of the line
     from trifactor.factorisation import Factorisation, OneFactor
 
     fact = build_factorisation(field(5))
     first = fact.factors[0]
-    broken = [OneFactor(first.label, (bad,) + first.edges[1:]), *fact.factors[1:]]
+    broken = [OneFactor(first.label, array("I", bad) + first.points[3:]),
+              *fact.factors[1:]]
     rep = verify_partition(Factorisation(fact.ctx, broken, dict(fact.label_map)))
     assert not rep.ok
-    assert rep.malformed == [bad]
+    assert (rep.malformed, rep.not_one_factors) == OFF_THE_LINE[bad]
+
+
+def test_verify_partition_finds_factors_that_swapped_an_edge():
+    # factors 1 and 2 trade their first edges: every triple is still
+    # covered once, but neither factor covers each point once
+    from trifactor.factorisation import Factorisation, OneFactor
+
+    fact = build_factorisation(field(11))
+    one, two = fact.factors[1], fact.factors[2]
+    factors = list(fact.factors)
+    factors[1] = OneFactor(one.label, two.points[:3] + one.points[3:])
+    factors[2] = OneFactor(two.label, one.points[:3] + two.points[3:])
+    rep = verify_partition(Factorisation(fact.ctx, factors, dict(fact.label_map)))
+    assert (rep.duplicates, rep.missing, rep.malformed) == ([], [], [])
+    assert rep.total_edges == rep.expected_edges
+    assert rep.not_one_factors == [1, 2]
+    assert not rep.ok
+
+
+def test_build_stores_each_factor_as_one_flat_array():
+    # a fresh q=59 build: 1,770 factors of 60 points each; with one tuple
+    # object per edge it traced 2.8 MB
+    q = 59
+    ctx = field_for(q)
+    tracemalloc.start()
+    try:
+        fact = build_factorisation(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert all(type(f.points) is array and f.points.typecode == "I"
+               and len(f.points) == q + 1 for f in fact.factors)
 
 
 def test_verify_partition_memory_is_one_byte_a_cell(factorisations):
@@ -271,12 +318,14 @@ def test_verify_partition_finds_one_moved_point_at_q125(factorisations):
     owners = [i for i, f in enumerate(fact.factors) if moved in f.edges]
     assert len(owners) == 1 and owners[0] != 1
     factors = list(fact.factors)
-    factors[1] = OneFactor(fact.factors[1].label, (moved,) + fact.factors[1].edges[1:])
+    factors[1] = OneFactor(fact.factors[1].label,
+                           array("I", moved) + fact.factors[1].points[3:])
     rep = verify_partition(Factorisation(fact.ctx, factors, dict(fact.label_map)))
     assert rep.total_edges == rep.expected_edges == math.comb(126, 3)
     assert rep.duplicates == [moved]
     assert rep.missing == [edge]
     assert rep.malformed == []
+    assert rep.not_one_factors == [1]  # w twice, the edge's last point never
 
 
 def test_dump_round_trip():

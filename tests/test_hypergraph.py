@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -50,9 +51,9 @@ def test_connectivity_small_cases():
     for i, j in itertools.combinations(range(len(F.factors)), 2):
         h = union_hypergraph(12, [F.factors[i], F.factors[j]])
         assert is_connected(h)
-    single_edge = UnionHypergraph(3, [(0, 1, 2)])
+    single_edge = UnionHypergraph(3, array("I", [0, 1, 2]))
     assert is_connected(single_edge)
-    edgeless = UnionHypergraph(4, [])
+    edgeless = UnionHypergraph(4, array("I"))
     assert not is_connected(edgeless)
     assert components(edgeless) == [[0], [1], [2], [3]]
 
@@ -191,7 +192,7 @@ def test_isomorphism_identity_and_size_mismatch():
     m = find_isomorphism(h, h)
     assert m is not None
     assert apply_isomorphism(h, m) == sorted(h.edges)
-    other = UnionHypergraph(5, [(0, 1, 2)])
+    other = UnionHypergraph(5, array("I", [0, 1, 2]))
     with pytest.raises(ValueError, match="vertex counts differ"):
         find_isomorphism(h, other)
 
@@ -242,7 +243,7 @@ def test_berge_cycle_deterministic():
 
 
 def test_berge_edgeless_and_pair_unions_have_no_cycle():
-    edgeless = UnionHypergraph(4, [])
+    edgeless = UnionHypergraph(4, array("I"))
     assert find_hamilton_berge_cycle(edgeless).status == "none"
     F = build_factorisation(field(5))
     h = union_hypergraph(6, [F.factors[0], F.factors[1]])
@@ -253,7 +254,7 @@ def test_berge_edgeless_and_pair_unions_have_no_cycle():
 def test_berge_rejects_more_edges_than_vertices():
     # unions of 2 or 3 factors never have spare edges; the search has no
     # path for them
-    h = UnionHypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2)])
+    h = UnionHypergraph(4, array("I", [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3, 0, 1, 2]))
     with pytest.raises(ValueError):
         find_hamilton_berge_cycle(h)
 
@@ -277,7 +278,7 @@ def test_berge_witness_replay_rejects_corruption():
 
 
 def test_berge_witness_replay_rejects_edge_indices_outside_the_union():
-    h = UnionHypergraph(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3)])
+    h = UnionHypergraph(4, array("I", [0, 1, 2, 0, 1, 3, 1, 2, 3, 0, 2, 3]))
 
     def cycle(edge_indices):
         return BergeSearchResult("found", [0, 1, 2, 3], edge_indices)

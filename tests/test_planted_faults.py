@@ -10,18 +10,30 @@ overlap is exactly 2, so both histogram sums still hold and the run exits 0.
 import pytest
 
 import trifactor.verifier as verifier
+from trifactor.factorisation import OneFactor
 from trifactor.field import FiniteField, InvariantError
 from trifactor.hypergraph import BergeSearchResult
 from trifactor.verifier import SuiteConfig, run_suite
 
 CONFIG = SuiteConfig(qs=(5, 8, 11, 17), hb1f_full_qs=(5, 8), trace_scan_degrees=(3, 5))
 _verify_partition = verifier.verify_partition
+_build_factorisation = verifier.build_factorisation
 
 
 def _one_duplicate(fact):
     report = _verify_partition(fact)
     report.duplicates.append(fact.factors[0].edges[0])
     return report
+
+
+def _edge_swapped(ctx):
+    """The factorisation with the first edges of factors 1 and 2 traded:
+    every triple still covered once, but neither factor a 1-factor."""
+    fact = _build_factorisation(ctx)
+    one, two = fact.factors[1], fact.factors[2]
+    fact.factors[1] = OneFactor(one.label, two.points[:3] + one.points[3:])
+    fact.factors[2] = OneFactor(two.label, one.points[:3] + two.points[3:])
+    return fact
 
 
 # (object, attribute, replacement, exit code or InvariantError message)
@@ -39,6 +51,8 @@ FAULTS = {
                 "30 roots exceed the degree bound 24"),
     "duplicate edge": (verifier, "verify_partition", _one_duplicate,
                        "do not partition the triples: 1 duplicated"),
+    "edge swap": (verifier, "build_factorisation", _edge_swapped,
+                  "factors \\[1, 2\\] not covering each point once"),
     "empty histogram": (verifier, "overlap_distribution", lambda fact: {},
                         "does not sum to"),
     "Frobenius the identity": (FiniteField, "frobenius", lambda self, a: a,
