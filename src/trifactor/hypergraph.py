@@ -58,8 +58,8 @@ def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
         for j in range(i + 1, len(factors)):
             if factors[i].points == factors[j].points:
                 raise ValueError("factors must be distinct")
-    points = array("I")
-    for f in factors:
+    points = factors[0].points + factors[1].points
+    for f in factors[2:]:
         points += f.points
     return UnionHypergraph(n, points)
 

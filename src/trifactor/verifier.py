@@ -285,7 +285,8 @@ def _hb1f_check_triples(
         # s∘tau∘(x -> a x + b)^-1 moves t onto its key; bit[v] marks v's image
         g, t_fwd = elements[s], elements[tau]
         bit = [1 << g[t_fwd[v]] for v in affine(m)]
-        codes = sorted(bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points))
+        codes = [bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points)]
+        codes.sort()
         if key not in checked:
             if not is_connected(h):
                 status = "disconnected"
