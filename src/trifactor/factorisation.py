@@ -5,12 +5,13 @@ triples {x, m(x), m^-1(x)} covering every point exactly once.  Since
 orbit_map(a, b) = g o base o g^-1 with g the affine map x -> a x + b, that
 partition is the base factor (the orbits of base_map) moved by g, infinity
 fixed.  So the base factor's orbits are computed once and every other factor
-is its affine image.  Labels (a, b) and (-a, a + b) give the same factor;
-ranging over all labels (a in F*, b in F) and keeping the first of each
-twin pair in enumeration order yields q(q-1)/2 distinct factors.  The
-build computes the q translation rows x -> x + b once, as point lists, and
-scales the base edges once per a; each factor is then the scaled edges
-moved by one row, and the twin of (a, b) is read off that row.  A factor
+is its affine image.  Labels (a, b) and (-a, a + b) give the same factor,
+and canonical_label picks the lesser of the two, the first in enumeration
+order; the q(q-1)/2 canonical labels (a in F*, b in F) name the distinct
+factors, and every label is looked up through that one rule.  The build
+computes the q translation rows x -> x + b once, as point lists, and
+scales the base edges once for each a that has a canonical label; each
+factor is then the scaled edges moved by one row.  A factor
 stores its edges flat, as one array('I') of points, three an edge, so a
 factorisation holds C(q+1, 3) edges without one tuple object each.
 verify_partition checks independently that each factor covers every point
@@ -37,9 +38,9 @@ from .field import FiniteField, InvariantError, OutOfRangeError, UsageError, fie
 from .projline import Mobius, base_map, invert
 
 Edge = tuple[int, int, int]
-# A built edge holds ~18 bytes: three 4-byte points and its share of its
-# factor's object, label and label_map entries.  Building and verifying q=227
-# peaks at 62 MB resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
+# A built edge holds ~16 bytes: three 4-byte points and its share of its
+# factor's object, label and index entry.  Building and verifying q=227
+# peaks at 58 MB resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
 MAX_EDGES = 2_000_000
 
 
@@ -112,6 +113,12 @@ def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
     return [op(c, x) for x in range(ctx.q)] + [ctx.q]
 
 
+def canonical_label(ctx: FiniteField, a: int, b: int) -> tuple[int, int]:
+    """The label of factor (a, b): the lesser of (a, b) and its twin
+    (-a, a + b), which name the same factor."""
+    return min((a, b), (ctx.neg(a), ctx.add(a, b)))
+
+
 def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
     """Orbit partition of orbit_map(a, b), as the affine image of the base."""
     if a == 0:
@@ -121,13 +128,12 @@ def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
 
 
 class Factorisation:
-    """All distinct one-factors, plus the label -> factor index map."""
+    """All distinct one-factors, indexed by their canonical labels."""
 
-    def __init__(self, ctx: FiniteField, factors: list[OneFactor],
-                 label_map: dict[tuple[int, int], int]):
+    def __init__(self, ctx: FiniteField, factors: list[OneFactor]):
         self.ctx = ctx
         self.factors = factors
-        self.label_map = label_map
+        self._index = {f.label: i for i, f in enumerate(factors)}
 
     def __len__(self):
         return len(self.factors)
@@ -141,13 +147,12 @@ class Factorisation:
             and [f.label for f in self.factors] == [f.label for f in other.factors]
         )
 
-    @property
-    def base_index(self) -> int:
-        """Index of the factor labelled (1, 0); always 0 by construction."""
-        return self.label_map[(1, 0)]
+    def index(self, a: int, b: int) -> int:
+        """Index of the factor that label (a, b) or its twin names."""
+        return self._index[canonical_label(self.ctx, a, b)]
 
     def factor(self, a: int, b: int) -> OneFactor:
-        return self.factors[self.label_map[(a, b)]]
+        return self.factors[self.index(a, b)]
 
     @functools.cached_property
     def _partners(self) -> list[tuple[int, int]]:
@@ -174,7 +179,7 @@ class Factorisation:
         v, x = self._partners[w]
         y = perm[q if v == q else ctx.add(ctx.mul(a, v), b)]
         z = perm[q if x == q else ctx.add(ctx.mul(a, x), b)]
-        return self.label_map[(ctx.sub(z, y), y)]
+        return self.index(ctx.sub(z, y), y)
 
     @functools.cached_property
     def symmetry(self) -> "Symmetry":
@@ -271,12 +276,12 @@ class Symmetry:
 def build_factorisation(ctx: FiniteField) -> Factorisation:
     """Every distinct factor, in label enumeration order (a, then b).
 
-    Label (a, b) shares its factor with its twin (-a, a + b); it points at
-    the twin's factor when the twin came first, and otherwise builds a new
-    factor as the base factor scaled by a, then moved by the translation
-    row of b.  The canonical label of a factor is thus the first one met in
-    enumeration order.  A q with more than MAX_EDGES edges is refused
-    before building.
+    Only canonical labels build a factor: the base factor scaled by a, then
+    moved by the translation row of b.  Each factor thus carries the first
+    of its two labels in enumeration order.  The base edges are scaled only
+    for an a with a canonical label, which in odd characteristic half of
+    the a lack.  A q with more than MAX_EDGES edges is refused before
+    building.
     """
     q = ctx.q
     edges = math.comb(q + 1, 3)
@@ -285,17 +290,12 @@ def build_factorisation(ctx: FiniteField) -> Factorisation:
     base = _base_points(ctx)
     shift = [_row(ctx, ctx.add, b) for b in range(q)]
     factors: list[OneFactor] = []
-    label_map: dict[tuple[int, int], int] = {}
     for a in range(1, q):
-        neg_a = ctx.neg(a)
-        scaled = _moved(_row(ctx, ctx.mul, a), base)
-        for b, row in enumerate(shift):
-            idx = label_map.get((neg_a, row[a]))
-            if idx is None:
-                idx = len(factors)
-                factors.append(OneFactor((a, b), _moved(row, scaled)))
-            label_map[(a, b)] = idx
-    return Factorisation(ctx, factors, label_map)
+        bs = [b for b in range(q) if canonical_label(ctx, a, b) == (a, b)]
+        if bs:
+            scaled = _moved(_row(ctx, ctx.mul, a), base)
+            factors.extend(OneFactor((a, b), _moved(shift[b], scaled)) for b in bs)
+    return Factorisation(ctx, factors)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from .field import FiniteField, InvariantError, UsageError
-from .factorisation import Edge, OneFactor, edges_of
+from .factorisation import Edge, OneFactor, canonical_label, edges_of
 from .projline import base_map
 
 DEFAULT_TIME_BUDGET = 10.0  # seconds per Hamilton Berge cycle search
@@ -151,10 +151,10 @@ def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
     """
     if a == 0:
         raise UsageError("label scale must be nonzero")
+    if canonical_label(ctx, a, b) == (1, 0):
+        raise UsageError("label denotes the base factor")
     one = 1
     neg1 = ctx.neg(1)
-    if (a, b) in {(1, 0), (neg1, 1)}:
-        raise UsageError("label denotes the base factor")
     inf = ctx.q
     s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))  # a^2 + ab + b^2
 

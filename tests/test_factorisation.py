@@ -15,6 +15,7 @@ import trifactor.factorisation as factorisation
 from trifactor.factorisation import (
     build_factorisation,
     build_one_factor,
+    canonical_label,
     dumps_factorisation,
     load_factorisation,
     verify_partition,
@@ -85,34 +86,54 @@ def test_each_factor_is_a_perfect_matching():
 def test_every_factor_hit_by_exactly_two_labels():
     for p, l in [(5, 1), (2, 3), (11, 1)]:
         fact = build_factorisation(field(p, l))
-        counts = {}
-        for idx in fact.label_map.values():
-            counts[idx] = counts.get(idx, 0) + 1
-        assert set(counts.values()) == {2}
-        # and the two labels are related by (a, b) -> (-a, a+b)
         ctx = fact.ctx
-        for (a, b), idx in fact.label_map.items():
-            dual = (ctx.neg(a), ctx.add(a, b))
-            assert fact.label_map[dual] == idx
+        counts = {}
+        for a in range(1, ctx.q):
+            for b in range(ctx.q):
+                idx = fact.index(a, b)
+                counts[idx] = counts.get(idx, 0) + 1
+                # and the two labels are related by (a, b) -> (-a, a+b)
+                assert fact.index(ctx.neg(a), ctx.add(a, b)) == idx
+        assert sorted(counts) == list(range(len(fact)))
+        assert set(counts.values()) == {2}
+
+
+@pytest.mark.parametrize("q", [2, 5, 8, 32, 125])
+def test_canonical_label_is_the_lesser_twin(q):
+    # in prime, characteristic-2 and odd-extension fields alike: a label and
+    # its twin (-a, a + b) are distinct and share the lesser as canonical
+    ctx = field_for(q)
+    canonical = set()
+    for a in range(1, q):
+        for b in range(q):
+            twin = (ctx.neg(a), ctx.add(a, b))
+            assert twin != (a, b)
+            label = canonical_label(ctx, a, b)
+            assert label == canonical_label(ctx, *twin) == min((a, b), twin)
+            canonical.add(label)
+    assert len(canonical) == q * (q - 1) // 2
+    assert [f.label for f in build_factorisation(ctx).factors] == sorted(canonical)
 
 
 def test_canonical_labels_are_first_in_enumeration_order():
-    fact = build_factorisation(field(5))
-    assert fact.base_index == 0
+    ctx = field(5)
+    fact = build_factorisation(ctx)
+    assert fact.index(1, 0) == 0
     assert fact.factors[0].label == (1, 0)
-    seen = []
+    first = {}
     for a in range(1, 5):
         for b in range(5):
-            idx = fact.label_map[(a, b)]
-            if idx == len(seen):
-                seen.append((a, b))
-                assert fact.factors[idx].label == (a, b)
+            idx = fact.index(a, b)
+            first.setdefault(idx, (a, b))
+            assert canonical_label(ctx, a, b) == first[idx]
+            assert fact.factors[idx].label == first[idx]
+    assert list(first) == list(range(len(fact)))
 
 
 def _reference_factorisation(ctx):
     """Orbits of orbit_map(a, b) for every label, deduplicated by edge set."""
     n = ctx.q + 1
-    edge_lists, labels, label_map, by_edges = [], [], {}, {}
+    edge_lists, labels, by_label, by_edges = [], [], {}, {}
     for a in range(1, ctx.q):
         for b in range(ctx.q):
             perm = orbit_map(ctx, a, b).permutation()
@@ -122,20 +143,20 @@ def _reference_factorisation(ctx):
                 by_edges[edges] = len(edge_lists)
                 edge_lists.append(edges)
                 labels.append((a, b))
-            label_map[(a, b)] = by_edges[edges]
-    return edge_lists, labels, label_map
+            by_label[(a, b)] = by_edges[edges]
+    return edge_lists, labels, by_label
 
 
 @pytest.mark.parametrize("q", [2, 5, 8, 11, 17, 29, 32, 125])
 def test_affine_images_match_orbit_construction(q):
     ctx = field_for(q)
     fact = build_factorisation(ctx)
-    edge_lists, labels, label_map = _reference_factorisation(ctx)
+    edge_lists, labels, by_label = _reference_factorisation(ctx)
     assert [f.edges for f in fact.factors] == edge_lists
     assert [f.label for f in fact.factors] == labels
-    assert fact.label_map == label_map
+    assert {(a, b): fact.index(a, b) for a, b in by_label} == by_label
     for a, b in [(1, 0), labels[-1], (ctx.q - 1, ctx.q - 1)]:
-        assert build_one_factor(ctx, a, b).edges == edge_lists[label_map[(a, b)]]
+        assert build_one_factor(ctx, a, b).edges == edge_lists[by_label[(a, b)]]
 
 
 @pytest.mark.parametrize("q", [5, 8, 11, 17, 32, 125])
@@ -227,7 +248,7 @@ def test_verify_partition_detects_damage():
         OneFactor(f.label, f.points if i != 3 else fact.factors[0].points)
         for i, f in enumerate(fact.factors)
     ]
-    rep = verify_partition(Factorisation(fact.ctx, broken, dict(fact.label_map)))
+    rep = verify_partition(Factorisation(fact.ctx, broken))
     assert not rep.ok
     assert rep.duplicates and rep.missing
     assert rep.not_one_factors == []
@@ -253,7 +274,7 @@ def test_verify_partition_rejects_edges_off_the_line(bad):
     first = fact.factors[0]
     broken = [OneFactor(first.label, array("I", bad) + first.points[3:]),
               *fact.factors[1:]]
-    rep = verify_partition(Factorisation(fact.ctx, broken, dict(fact.label_map)))
+    rep = verify_partition(Factorisation(fact.ctx, broken))
     assert not rep.ok
     assert (rep.malformed, rep.not_one_factors) == OFF_THE_LINE[bad]
 
@@ -268,7 +289,7 @@ def test_verify_partition_finds_factors_that_swapped_an_edge():
     factors = list(fact.factors)
     factors[1] = OneFactor(one.label, two.points[:3] + one.points[3:])
     factors[2] = OneFactor(two.label, one.points[:3] + two.points[3:])
-    rep = verify_partition(Factorisation(fact.ctx, factors, dict(fact.label_map)))
+    rep = verify_partition(Factorisation(fact.ctx, factors))
     assert (rep.duplicates, rep.missing, rep.malformed) == ([], [], [])
     assert rep.total_edges == rep.expected_edges
     assert rep.not_one_factors == [1, 2]
@@ -277,7 +298,8 @@ def test_verify_partition_finds_factors_that_swapped_an_edge():
 
 def test_build_stores_each_factor_as_one_flat_array():
     # a fresh q=59 build: 1,770 factors of 60 points each; with one tuple
-    # object per edge it traced 2.8 MB
+    # object per edge it traced 2.8 MB, and with a map of every label, twins
+    # included, 1.16 MB
     q = 59
     ctx = field_for(q)
     tracemalloc.start()
@@ -286,7 +308,7 @@ def test_build_stores_each_factor_as_one_flat_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+    assert peak < 1.0e6
     assert all(type(f.points) is array and f.points.typecode == "I"
                and len(f.points) == q + 1 for f in fact.factors)
 
@@ -320,7 +342,7 @@ def test_verify_partition_finds_one_moved_point_at_q125(factorisations):
     factors = list(fact.factors)
     factors[1] = OneFactor(fact.factors[1].label,
                            array("I", moved) + fact.factors[1].points[3:])
-    rep = verify_partition(Factorisation(fact.ctx, factors, dict(fact.label_map)))
+    rep = verify_partition(Factorisation(fact.ctx, factors))
     assert rep.total_edges == rep.expected_edges == math.comb(126, 3)
     assert rep.duplicates == [moved]
     assert rep.missing == [edge]
@@ -329,19 +351,13 @@ def test_verify_partition_finds_one_moved_point_at_q125(factorisations):
 
 
 def test_dump_round_trip():
-    for p, l in [(5, 1), (2, 3)]:
-        fact = build_factorisation(field(p, l))
-        text = dumps_factorisation(fact)
-        again = load_factorisation(text)
+    for q in [2, 5, 8, 11, 125]:
+        fact = build_factorisation(field_for(q))
+        again = load_factorisation(dumps_factorisation(fact))
         assert again == fact
-
-
-@pytest.mark.parametrize("q", [2, 5, 8, 11, 125])
-def test_load_registers_every_label(q):
-    # each factor's twin label (-a, a + b) must resolve after a round trip
-    fact = build_factorisation(field_for(q))
-    again = load_factorisation(dumps_factorisation(fact))
-    assert again.label_map == fact.label_map
+        # each factor's twin label (-a, a + b) resolves after a round trip
+        assert all(again.index(a, b) == fact.index(a, b)
+                   for a in range(1, q) for b in range(q))
 
 
 def _edit_q5_dump(edit):

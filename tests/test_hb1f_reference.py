@@ -85,7 +85,7 @@ def test_sampled_sweep_matches_reference(factorisations, monkeypatch, seed):
 
 def test_q125_subfield_triple_and_images_match_reference(factorisations):
     fact = factorisations(125)
-    subfield = tuple(sorted(fact.label_map[(a, 0)] for a in (1, 2, 3)))
+    subfield = tuple(sorted(fact.index(a, 0) for a in (1, 2, 3)))
     rng = random.Random(125)
     connected = tuple(sorted(rng.sample(range(len(fact.factors)), 3)))
     triples = [subfield, connected]

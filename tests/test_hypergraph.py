@@ -170,7 +170,7 @@ def test_relabelling_reduction_preserves_connectivity():
         for _ in range(200):
             a1, a2 = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
             b1, b2 = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            if F.label_map[(a1, b1)] == F.label_map[(a2, b2)]:
+            if F.index(a1, b1) == F.index(a2, b2):
                 continue
             g, h, h0 = _relabel_onto_base(ctx, F, a1, b1, a2, b2)
             assert apply_isomorphism(h, g) == sorted(h0.edges)

@@ -9,6 +9,7 @@ overlap is exactly 2, so both histogram sums still hold and the run exits 0.
 
 import pytest
 
+import trifactor.factorisation as factorisation
 import trifactor.verifier as verifier
 from trifactor.factorisation import OneFactor
 from trifactor.field import FiniteField, InvariantError
@@ -51,6 +52,9 @@ FAULTS = {
                 "30 roots exceed the degree bound 24"),
     "duplicate edge": (verifier, "verify_partition", _one_duplicate,
                        "do not partition the triples: 1 duplicated"),
+    "twins both kept": (factorisation, "canonical_label", lambda ctx, a, b: (a, b),
+                        "q=5: 40 edges of 20 do not partition the triples: "
+                        "20 duplicated"),
     "edge swap": (verifier, "build_factorisation", _edge_swapped,
                   "factors \\[1, 2\\] not covering each point once"),
     "empty histogram": (verifier, "overlap_distribution", lambda fact: {},

@@ -305,7 +305,7 @@ def test_gf125_overlap_4_lemma(facts):
     # meets the base factor in 4 edges; both overlap paths must say so
     fact = facts(125)
     ctx = fact.ctx
-    base = fact.factors[fact.base_index]
+    base = fact.factor(1, 0)
     for a in range(5, ctx.q):
         a2 = ctx.mul(a, a)
         counts = []
