@@ -38,6 +38,7 @@ from .verifier import (
     json_text,
     overlap_distribution,
     parse_config,
+    require_overlap_sums,
     run_suite,
     scan_line,
     time_budget_seconds,
@@ -114,7 +115,9 @@ def cmd_overlap(args) -> int:
     ctx = field_for(args.q)
     label = _label(ctx, args)
     if label is None:
-        hist = overlap_distribution(build_factorisation(ctx))
+        fact = build_factorisation(ctx)
+        hist = overlap_distribution(fact)
+        require_overlap_sums(fact, hist)
         _report(args, {"q": args.q, "histogram": {str(k): v for k, v in hist.items()}},
                 f"overlap histogram q={args.q}: {hist}\n")
         return 0

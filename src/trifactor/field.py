@@ -140,7 +140,10 @@ class FiniteField:
         raise InvariantError("no irreducible polynomial found")
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Product without tables: mod p, carryless for p=2, digit schoolbook else."""
+        """Product without tables: mod p, carryless for p=2, digit schoolbook else.
+
+        b's digits drive the outer loop, so a sparse b (a generator) is cheap.
+        """
         if self.l == 1:
             return a * b % self.p
         if self.p == 2:
@@ -159,9 +162,9 @@ class FiniteField:
         da = _digits(a, p, l)
         db = _digits(b, p, l)
         conv = [0] * (2 * l - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
+        for j, cb in enumerate(db):
+            if cb:
+                for i, ca in enumerate(da):
                     conv[i + j] += ca * cb
         rem = _poly_rem([c % p for c in conv], list(self.modulus), p)
         out = 0

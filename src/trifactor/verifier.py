@@ -110,16 +110,13 @@ class TheoremVerdict:
     def indeterminate(self) -> bool:
         return self.computed is None
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        stats = dict(self.stats)
-        if not include_timings:
-            stats.pop("elapsed_ms", None)
+    def to_dict(self) -> dict:
         return {
             "name": self.prop,
             "computed": self.computed,
             "predicted": self.predicted,
             "witness": self.witness,
-            "stats": stats,
+            "stats": dict(self.stats),
         }
 
 
@@ -149,7 +146,6 @@ def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
     ctx = fact.ctx
     n = ctx.q + 1
     pairs = _sweep(len(fact.factors), 2, mode)
-    t0 = time.monotonic()
     witness = None
     connected_all = True
     tasks = 0
@@ -161,18 +157,8 @@ def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
             if witness is None:
                 witness = {"pair": _labels_json(fact, (i, j)),
                            "components": components(h)}
-    return TheoremVerdict(
-        ctx.q,
-        "c1f",
-        connected_all,
-        predict_c1f(ctx.q),
-        witness,
-        {
-            "mode": mode,
-            "tasks": tasks,
-            "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        },
-    )
+    return TheoremVerdict(ctx.q, "c1f", connected_all, predict_c1f(ctx.q), witness,
+                          {"mode": mode, "tasks": tasks})
 
 
 def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
@@ -188,7 +174,6 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     q = fact.ctx.q
     n = q + 1
     nf = len(fact.factors)
-    t0 = time.monotonic()
     base = fact.factors[0]
     witness = None
     computed: bool | None = True
@@ -206,7 +191,7 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
         reference = union_hypergraph(n, [fact.factors[0], fact.factors[1]])
     if computed and reference is not None:
         reference_edges = sorted(reference.edges)
-        for i, j in itertools.combinations(range(nf), 2):
+        for i, j in _sweep(nf, 2, "full"):
             iso_tasks += 1
             h = union_hypergraph(n, [fact.factors[i], fact.factors[j]])
             mapping = find_isomorphism(h, reference)
@@ -217,16 +202,10 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
                 break
             if apply_isomorphism(h, mapping) != reference_edges:
                 raise InvariantError(f"the isomorphism of pair {(i, j)} fails its replay")
-    stats = {
-        "overlap_tasks": overlap_tasks,
-        "isomorphism_tasks": iso_tasks,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
+    stats = {"overlap_tasks": overlap_tasks, "isomorphism_tasks": iso_tasks}
     u1f = TheoremVerdict(q, "u1f", computed, predict_u1f(q), witness, stats)
     uc1f_computed = computed and (reference is None or is_connected(reference))
-    uc1f = TheoremVerdict(
-        q, "uc1f", uc1f_computed, predict_u1f(q), witness, dict(stats)
-    )
+    uc1f = TheoremVerdict(q, "uc1f", uc1f_computed, predict_u1f(q), witness, dict(stats))
     return u1f, uc1f
 
 
@@ -329,7 +308,6 @@ def check_hb1f(
         raise UsageError(f"samples and seed apply to sampled mode only, not {mode!r}")
     q = fact.ctx.q
     nf = len(fact.factors)
-    t0 = time.monotonic()
     if mode == "sampled":
         if samples is None or seed is None:
             raise UsageError("sampled mode needs samples and seed")
@@ -362,7 +340,6 @@ def check_hb1f(
         "mode": mode,
         "tasks": samples if mode == "sampled" else len(triples),
         "timeouts": timeouts,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
     if mode == "sampled":
         stats["distinct_tasks"] = len(triples)
@@ -379,6 +356,17 @@ def overlap_distribution(fact: Factorisation) -> dict[int, int]:
         c = pair_overlap(base, f).count
         hist[c] = hist.get(c, 0) + 1
     return dict(sorted(hist.items()))
+
+
+def require_overlap_sums(fact: Factorisation, hist: dict[int, int]) -> None:
+    """InvariantError unless hist counts the nf - 1 other factors and their
+    (q + 1)(q - 2) shared pairs: each of the q + 1 pairs inside a base edge
+    lies in q - 2 more triples, and each triple in one other factor."""
+    q, nf = fact.ctx.q, len(fact.factors)
+    if (sum(hist.values()), sum(c * k for c, k in hist.items())) != (
+            nf - 1, (q + 1) * (q - 2)):
+        raise InvariantError(f"q={q}: overlap histogram {hist} does not sum to "
+                             f"{nf - 1} factors and {(q + 1) * (q - 2)} shared pairs")
 
 
 # -- characteristic-2 scans --------------------------------------------------
@@ -549,9 +537,6 @@ class SuiteReport:
             "indeterminates": self.indeterminates,
         }
 
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
-
     def to_text(self) -> str:
         lines = []
         for entry in self.entries:
@@ -600,16 +585,23 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     discrepancies = 0
     indeterminates = 0
 
-    def note(verdict: TheoremVerdict, prop_list: list[dict]) -> None:
+    def note(check, *args, **kwargs) -> None:
+        # the suite's one clock: the verdicts of one check call share its time,
+        # and go to the props of the q being run
         nonlocal discrepancies, indeterminates
-        expected = cfg.expectations.get((verdict.prop, verdict.q))
-        if expected is not None:
-            verdict = replace(verdict, predicted=expected)
-        if verdict.discrepancy:
-            discrepancies += 1
-        if verdict.indeterminate:
-            indeterminates += 1
-        prop_list.append(verdict.to_dict(cfg.include_timings))
+        t0 = time.monotonic()
+        verdicts = check(*args, **kwargs)
+        elapsed_ms = int((time.monotonic() - t0) * 1000)
+        for verdict in verdicts if isinstance(verdicts, tuple) else (verdicts,):
+            expected = cfg.expectations.get((verdict.prop, verdict.q))
+            if expected is not None:
+                verdict = replace(verdict, predicted=expected)
+            discrepancies += verdict.discrepancy
+            indeterminates += verdict.indeterminate
+            entry = verdict.to_dict()
+            if cfg.include_timings:
+                entry["stats"]["elapsed_ms"] = elapsed_ms
+            props.append(entry)
 
     for q in cfg.qs:
         ctx = field_for(q)
@@ -622,26 +614,18 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 f"{len(report.malformed)} malformed, missing {report.missing[:3]}, "
                 f"factors {report.not_one_factors[:3]} not covering each point once")
         hist = overlap_distribution(fact)
-        nf = len(fact.factors)
-        # each of the q + 1 pairs inside a base edge lies in q - 2 more
-        # triples, and each triple in one other factor
-        if (sum(hist.values()), sum(c * k for c, k in hist.items())) != (
-                nf - 1, (q + 1) * (q - 2)):
-            raise InvariantError(f"q={q}: overlap histogram {hist} does not sum to "
-                                 f"{nf - 1} factors and {(q + 1) * (q - 2)} shared pairs")
+        require_overlap_sums(fact, hist)
         props: list[dict] = []
-        note(check_c1f(fact, mode="reduced"), props)
+        note(check_c1f, fact, mode="reduced")
         if q <= cfg.c1f_full_max_q:
-            note(check_c1f(fact, mode="full"), props)
-        u1f, uc1f = check_u1f(fact)
-        note(u1f, props)
-        note(uc1f, props)
+            note(check_c1f, fact, mode="full")
+        note(check_u1f, fact)
         runs = [("full", {})] if q in cfg.hb1f_full_qs else []
         runs += [("reduced", {})] if q in cfg.hb1f_reduced_qs else []
         runs += [("sampled", {"samples": n, "seed": seed})
                  for sq, n, seed in cfg.hb1f_sampled if sq == q]
         for mode, kwargs in runs:
-            note(check_hb1f(fact, mode, time_budget=cfg.time_budget, **kwargs), props)
+            note(check_hb1f, fact, mode, time_budget=cfg.time_budget, **kwargs)
         entries.append(
             {
                 "q": q,
@@ -669,6 +653,4 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         expected_witnesses = l > 3
         if (len(witnesses) > 0) != expected_witnesses:
             discrepancies += 1
-    return SuiteReport(
-        cfg.describe(), entries, scans, discrepancies, indeterminates
-    )
+    return SuiteReport(cfg.describe(), entries, scans, discrepancies, indeterminates)

@@ -5,8 +5,8 @@ import pytest
 
 from trifactor.cli import build_parser, main
 from trifactor.factorisation import build_factorisation, load_factorisation
-from trifactor.hypergraph import BergeSearchResult
-from trifactor.verifier import SuiteConfig, field_for, run_suite
+from trifactor.hypergraph import BergeSearchResult, OverlapResult
+from trifactor.verifier import SuiteConfig, field_for, json_text, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +121,18 @@ def test_overlap_histogram(capsys):
     code, out, _ = run_cli(capsys, "overlap", "--q", "5", "--format", "json")
     assert code == 0
     assert json.loads(out)["histogram"] == {"2": 9}
+    code, out, _ = run_cli(capsys, "overlap", "--q", "11")
+    assert code == 0
+    assert out == "overlap histogram q=11: {0: 18, 2: 12, 3: 12, 4: 12}\n"
+
+
+def test_overlap_histogram_off_its_sums_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr("trifactor.verifier.pair_overlap",
+                        lambda f1, f2: OverlapResult(0, []))
+    code, out, err = run_cli(capsys, "overlap", "--q", "11")
+    assert code == 4
+    assert out == ""
+    assert "does not sum to 54 factors and 108 shared pairs" in err
 
 
 def test_subgroup_single(capsys):
@@ -187,6 +199,23 @@ def test_suite_byte_identical_reports(tmp_path, capsys):
     assert run_cli(capsys, "suite", "--config", str(cfg), "--format", "json",
                    "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_suite_timings_add_only_elapsed_ms(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("qs = 2 5 8\ntrace_scans = 3\nhb1f_full_qs = 5\n")
+    code, untimed, _ = run_cli(capsys, "suite", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    code, timed, _ = run_cli(capsys, "suite", "--config", str(cfg), "--format", "json",
+                             "--timings")
+    assert code == 0
+    payload = json.loads(timed)
+    props = [prop for entry in payload["suite"] for prop in entry["properties"]]
+    assert len(props) == 13
+    for prop in props:
+        elapsed = prop["stats"].pop("elapsed_ms")
+        assert type(elapsed) is int and elapsed >= 0
+    assert json_text(payload) == untimed
 
 
 def test_usage_errors_exit_3(tmp_path, capsys):

@@ -7,6 +7,9 @@ DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
 overlap is exactly 2, so both histogram sums still hold and the run exits 0.
 """
 
+import itertools
+import time
+
 import pytest
 
 import trifactor.factorisation as factorisation
@@ -14,7 +17,7 @@ import trifactor.verifier as verifier
 from trifactor.factorisation import OneFactor
 from trifactor.field import FiniteField, InvariantError
 from trifactor.hypergraph import BergeSearchResult
-from trifactor.verifier import SuiteConfig, run_suite
+from trifactor.verifier import SuiteConfig, json_text, run_suite
 
 CONFIG = SuiteConfig(qs=(5, 8, 11, 17), hb1f_full_qs=(5, 8), trace_scan_degrees=(3, 5))
 _verify_partition = verifier.verify_partition
@@ -77,3 +80,12 @@ def test_a_planted_fault_is_caught(monkeypatch, fault):
             run_suite(CONFIG)
     else:
         assert run_suite(CONFIG).exit_code == caught
+
+
+def test_the_report_does_not_depend_on_the_clock(monkeypatch):
+    # a clock that jumps 0.25 s at every read changes no byte of the report
+    expected = json_text(run_suite(CONFIG).to_dict())
+    reads = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(reads) * 0.25)
+    assert json_text(run_suite(CONFIG).to_dict()) == expected
+    assert next(reads) > 0

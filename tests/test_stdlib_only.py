@@ -1,4 +1,5 @@
 """The package imports nothing outside the standard library, and no process pool.
+It has no assert statement, which python -O would strip.
 
 Its only exception classes are the three in field.py: UsageError and its
 OutOfRangeError subclass (exit 3) and InvariantError (exit 4).
@@ -57,3 +58,12 @@ def test_exception_classes_live_only_in_field():
     assert sorted(found) == [("field.py", "InvariantError"),
                              ("field.py", "OutOfRangeError"),
                              ("field.py", "UsageError")]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so every run-time check raises InvariantError
+    src = Path(trifactor.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -19,6 +19,7 @@ from trifactor.verifier import (
     check_u1f,
     factor_prime_power,
     field_for,
+    json_text,
     overlap_distribution,
     parse_config,
     predict_c1f,
@@ -357,6 +358,17 @@ def test_parse_config_round_trip():
             parse_config(f"time_budget = {value}")
 
 
+def test_verdict_stats_carry_no_elapsed_time(facts):
+    # only run_suite reads the clock, and only under include_timings
+    fact = facts(5)
+    verdicts = [check_c1f(fact, mode="reduced"), check_c1f(fact, mode="full"),
+                *check_u1f(fact), check_hb1f(fact, "full"),
+                check_hb1f(fact, "sampled", samples=20, seed=1)]
+    for v in verdicts:
+        assert "elapsed_ms" not in v.stats
+        assert v.to_dict()["stats"] == v.stats
+
+
 def test_run_suite_rejects_entries_for_q_outside_qs():
     with pytest.raises(UsageError, match="hb1f_sampled 128:10:7"):
         run_suite(SuiteConfig(qs=(5,), hb1f_sampled=((128, 10, 7),)))
@@ -377,7 +389,7 @@ def test_run_suite_small_clean():
     rep = run_suite(cfg)
     assert rep.exit_code == 0
     assert rep.discrepancies == 0
-    data = json.loads(rep.to_json())
+    data = json.loads(json_text(rep.to_dict()))
     assert [e["q"] for e in data["suite"]] == [2, 5, 8]
     for entry in data["suite"]:
         assert entry["construction"]["partition_ok"]
@@ -424,9 +436,9 @@ def test_suite_json_deterministic_and_text_parity():
     cfg = SuiteConfig(qs=(5, 11), trace_scan_degrees=(3,), hb1f_full_qs=(5,))
     r1 = run_suite(cfg)
     r2 = run_suite(cfg)
-    assert r1.to_json() == r2.to_json()
+    assert json_text(r1.to_dict()) == json_text(r2.to_dict())
     # same verdicts, with the same marks, surface in both output formats
-    data = json.loads(r1.to_json())
+    data = json.loads(json_text(r1.to_dict()))
     lines = r1.to_text().splitlines()
     for entry in data["suite"]:
         for prop in entry["properties"]:
