@@ -30,9 +30,9 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .field import FiniteField, InvariantError, OutOfRangeError, UsageError, field
 from .projline import Mobius, base_map, invert
@@ -298,14 +298,11 @@ def build_factorisation(ctx: FiniteField) -> Factorisation:
     return Factorisation(ctx, factors)
 
 
-@dataclass
-class PartitionReport:
-    total_edges: int
-    expected_edges: int
-    duplicates: list[Edge] = dc_field(default_factory=list)
-    missing: list[Edge] = dc_field(default_factory=list)
-    malformed: list[Edge] = dc_field(default_factory=list)
-    not_one_factors: list[int] = dc_field(default_factory=list)
+class PartitionReport(namedtuple("PartitionReport", "total_edges expected_edges "
+                                 "duplicates missing malformed not_one_factors")):
+    """Edge counts, the faulty edges, and the factors that are not 1-factors."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -386,9 +383,10 @@ def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_factorisation(source: TextIO | str | Iterable[str]) -> Factorisation:
+def load_factorisation(source: str | Iterable[str]) -> Factorisation:
     """Check a dump against the construction, and return the construction.
 
+    source is the dump's text or its lines, such as an open text file.
     The header names the field.  The factor blocks must be the built
     factors in number and order, each with the same index, label and edge
     set.  Blank lines, "inf" for the index q, and the order of the points

@@ -122,6 +122,7 @@ class FiniteField:
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
         self._as_basis = None
+        self._basis_traces = None
         self._build_tables()
 
     def __repr__(self):
@@ -267,15 +268,24 @@ class FiniteField:
     # -- trace, squares, quadratics ---------------------------------------
 
     def trace(self, a: int) -> int:
-        """Sum of the Frobenius orbit of a; lands in the prime subfield."""
-        s = a
-        y = a
-        for _ in range(self.l - 1):
-            y = self.frobenius(y)
-            s = self.add(s, y)
-        if s >= self.p:
-            raise InvariantError(f"trace of {a} left the prime subfield")
-        return s
+        """Tr(a), GF(p)-linear: a's digits times the basis traces Tr(x^i), each
+        summed over its Frobenius orbit on first use and checked to lie in the
+        prime subfield.  In characteristic 2, a parity of a's masked bits."""
+        if self._basis_traces is None:
+            traces = []
+            for x in self._powers:
+                s = y = x
+                for _ in range(self.l - 1):
+                    y = self.frobenius(y)
+                    s = self.add(s, y)
+                if s >= self.p:
+                    raise InvariantError(f"trace of {x} left the prime subfield")
+                traces.append(s)
+            self._trace_mask = sum(t << i for i, t in enumerate(traces))
+            self._basis_traces = traces
+        if self.p == 2:
+            return (a & self._trace_mask).bit_count() & 1
+        return sum(map(int.__mul__, _digits(a, self.p, self.l), self._basis_traces)) % self.p
 
     def is_square(self, a: int) -> bool:
         """In characteristic 2 every element is a square; in odd

@@ -11,7 +11,7 @@ enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .factorisation import Factorisation
@@ -45,18 +45,16 @@ def full_exit_threshold(ctx: FiniteField) -> int:
     return bound
 
 
-@dataclass
-class GeneratedSubgroup:
+class GeneratedSubgroup(namedtuple("GeneratedSubgroup", "elements order full_group",
+                                   defaults=(False,))):
     """A closure; each element is keyed by its images of 0, 1 and infinity.
 
     PGL(2,q) is sharply 3-transitive on the projective line, so the key
-    (g(0), g(1), g(inf)) names exactly one element g.  elements is None
-    after an early exit.
+    (g(0), g(1), g(inf)) names exactly one element g.  elements is a
+    frozenset of those keys, or None after an early exit.
     """
 
-    elements: frozenset[tuple[int, int, int]] | None
-    order: int
-    full_group: bool = False
+    __slots__ = ()
 
 
 def _steps(gens: list[Mobius]) -> list[tuple[int, ...]]:
@@ -125,10 +123,10 @@ def generate_subgroup(
     )
 
 
-@dataclass
-class SubgroupClass:
-    tag: str  # C3, A4, S4, A5, FullPSL or Other
-    order: int
+class SubgroupClass(namedtuple("SubgroupClass", "tag order")):
+    """tag is C3, A4, S4, A5, FullPSL or Other."""
+
+    __slots__ = ()
 
 
 def classify_subgroup(group: GeneratedSubgroup, ctx: FiniteField) -> SubgroupClass:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from collections import Counter, namedtuple
 
 from .field import FiniteField, InvariantError, UsageError
 from .factorisation import Edge, OneFactor, canonical_label, edges_of
@@ -105,19 +104,17 @@ def components(h: UnionHypergraph) -> list[list[int]]:
 # -- pair overlap ------------------------------------------------------------
 
 
-@dataclass
-class OverlapResult:
+class OverlapResult(namedtuple("OverlapResult", "count repeated_pairs "
+                               "direct_solutions inverse_solutions",
+                               defaults=(None, None))):
     """Repeated vertex pairs between two one-factors.
 
     When computed algebraically, direct_solutions and inverse_solutions list
     the points solving base(x) = m(x) and base^-1(x) = m(x); the overlap
-    count is the sum of their sizes.
+    count is the sum of their sizes.  Otherwise both are None.
     """
 
-    count: int
-    repeated_pairs: list[tuple[int, int]]
-    direct_solutions: list[int] | None = None
-    inverse_solutions: list[int] | None = None
+    __slots__ = ()
 
 
 def pair_overlap(f1: OneFactor, f2: OneFactor) -> OverlapResult:
@@ -311,8 +308,8 @@ def apply_isomorphism(h: UnionHypergraph, mapping: list[int]) -> list[Edge]:
 # -- Hamilton Berge cycles ---------------------------------------------------
 
 
-@dataclass
-class BergeSearchResult:
+class BergeSearchResult(namedtuple("BergeSearchResult",
+                                   "status vertices edge_indices nodes")):
     """Outcome of a Hamilton Berge cycle search.
 
     status is "found", "none" or "timeout"; a timeout is not a
@@ -321,10 +318,12 @@ class BergeSearchResult:
     the search nodes visited, a deterministic measure of the work done.
     """
 
-    status: str
-    vertices: list[int] = dc_field(default_factory=list)
-    edge_indices: list[int] = dc_field(default_factory=list)
-    nodes: int = 0
+    __slots__ = ()
+
+    def __new__(cls, status: str, vertices: list[int] | None = None,
+                edge_indices: list[int] | None = None, nodes: int = 0):
+        # each result gets lists of its own
+        return super().__new__(cls, status, vertices or [], edge_indices or [], nodes)
 
     @property
     def found(self) -> bool:

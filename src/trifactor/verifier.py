@@ -17,7 +17,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
 
 from .factorisation import (
     Factorisation,
@@ -93,14 +92,17 @@ def predict_hb1f(q: int) -> bool:
     return predict_c1f(q)
 
 
-@dataclass
 class TheoremVerdict:
-    q: int
-    prop: str
-    computed: bool | None  # None means indeterminate (a search timed out)
-    predicted: bool
-    witness: dict | None = None
-    stats: dict = dc_field(default_factory=dict)
+    """computed is None when the verdict is indeterminate (a search timed out)."""
+
+    def __init__(self, q: int, prop: str, computed: bool | None, predicted: bool,
+                 witness: dict | None = None, stats: dict | None = None):
+        self.q = q
+        self.prop = prop
+        self.computed = computed
+        self.predicted = predicted
+        self.witness = witness
+        self.stats = {} if stats is None else stats
 
     @property
     def discrepancy(self) -> bool:
@@ -443,21 +445,30 @@ def scan_line(l, witnesses: int, scan: dict) -> str:
             f"roots={scan['poly_root_count']}<={scan['root_bound']}")
 
 
-@dataclass
 class SuiteConfig:
-    qs: tuple[int, ...] = SUPPORTED_Q
-    c1f_full_max_q: int = 17
-    hb1f_full_qs: tuple[int, ...] = (2, 5, 8)
-    hb1f_reduced_qs: tuple[int, ...] = ()
-    hb1f_sampled: tuple[tuple[int, int, int], ...] = ()  # (q, samples, seed)
-    trace_scan_degrees: tuple[int, ...] = (3, 5, 7, 9, 11, 13)
-    time_budget: float = DEFAULT_TIME_BUDGET
-    include_timings: bool = False
-    expectations: dict = dc_field(default_factory=dict)  # (prop, q) -> bool
+    """What run_suite runs.  hb1f_sampled holds (q, samples, seed) entries;
+    expectations maps (prop, q) to the verdict to predict instead."""
+
+    def __init__(self, qs: tuple[int, ...] = SUPPORTED_Q, c1f_full_max_q: int = 17,
+                 hb1f_full_qs: tuple[int, ...] = (2, 5, 8),
+                 hb1f_reduced_qs: tuple[int, ...] = (),
+                 hb1f_sampled: tuple[tuple[int, int, int], ...] = (),
+                 trace_scan_degrees: tuple[int, ...] = (3, 5, 7, 9, 11, 13),
+                 time_budget: float = DEFAULT_TIME_BUDGET, include_timings: bool = False,
+                 expectations: dict | None = None):
+        self.qs = qs
+        self.c1f_full_max_q = c1f_full_max_q
+        self.hb1f_full_qs = hb1f_full_qs
+        self.hb1f_reduced_qs = hb1f_reduced_qs
+        self.hb1f_sampled = hb1f_sampled
+        self.trace_scan_degrees = trace_scan_degrees
+        self.time_budget = time_budget
+        self.include_timings = include_timings
+        self.expectations = {} if expectations is None else expectations
 
     def describe(self) -> dict:
         """Every field but the run-time ones that must not change the report."""
-        out = asdict(self)
+        out = dict(vars(self))
         del out["include_timings"]
         out["expectations"] = {
             f"{prop}_{q}": v for (prop, q), v in sorted(self.expectations.items())
@@ -516,13 +527,14 @@ def _set_config_line(cfg: SuiteConfig, line: str) -> None:
         raise ValueError(f"unknown config key {key!r}")
 
 
-@dataclass
 class SuiteReport:
-    config: dict
-    entries: list[dict]
-    scans: dict
-    discrepancies: int
-    indeterminates: int
+    def __init__(self, config: dict, entries: list[dict], scans: dict,
+                 discrepancies: int, indeterminates: int):
+        self.config = config
+        self.entries = entries
+        self.scans = scans
+        self.discrepancies = discrepancies
+        self.indeterminates = indeterminates
 
     @property
     def exit_code(self) -> int:
@@ -595,7 +607,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         for verdict in verdicts if isinstance(verdicts, tuple) else (verdicts,):
             expected = cfg.expectations.get((verdict.prop, verdict.q))
             if expected is not None:
-                verdict = replace(verdict, predicted=expected)
+                verdict = TheoremVerdict(verdict.q, verdict.prop, verdict.computed,
+                                         expected, verdict.witness, verdict.stats)
             discrepancies += verdict.discrepancy
             indeterminates += verdict.indeterminate
             entry = verdict.to_dict()

@@ -5,6 +5,7 @@ import pytest
 
 from trifactor.field import (
     FiniteField,
+    InvariantError,
     OutOfRangeError,
     UsageError,
     field,
@@ -118,6 +119,31 @@ def test_trace_examples():
     assert gf8.trace(0) == 0
     # g + g^2 + g^4 = 0 for g the class of x
     assert gf8.trace(2) == 0
+
+
+def _orbit_trace(ctx, a):
+    """Tr(a) the long way: a + a^p + ... + a^(p^(l-1))."""
+    s = y = a
+    for _ in range(ctx.l - 1):
+        y = ctx.pow(y, ctx.p)
+        s = ctx.add(s, y)
+    return s
+
+
+@pytest.mark.parametrize("p, l", [(2, 1), (2, 3), (2, 5), (2, 8), (2, 13), (3, 1),
+                                  (3, 5), (5, 3), (5, 4), (7, 2), (11, 2), (13, 1)])
+def test_trace_is_the_frobenius_orbit_sum_on_every_element(p, l):
+    # trace is linear, so the linearity tests below cannot check it; this can
+    ctx = field(p, l)
+    assert ([ctx.trace(a) for a in ctx.elements()]
+            == [_orbit_trace(ctx, a) for a in ctx.elements()])
+
+
+def test_trace_refuses_basis_traces_outside_the_prime_subfield(monkeypatch):
+    ctx = FiniteField(2, 3)  # not the cached field, so no basis traces yet
+    monkeypatch.setattr(FiniteField, "frobenius", lambda self, a: a)
+    with pytest.raises(InvariantError, match="trace of 2 left the prime subfield"):
+        ctx.trace(0)
 
 
 def test_trace_additive_and_frobenius_invariant():

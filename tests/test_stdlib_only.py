@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library, and no process pool.
+"""The package imports nothing outside the standard library, and no process pool,
+dataclasses or typing.
 It has no assert statement, which python -O would strip.
 
 Its only exception classes are the three in field.py: UsageError and its
@@ -38,6 +39,19 @@ def test_cli_import_loads_no_process_pool():
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
+
+
+def test_cli_import_loads_no_dataclasses_or_typing():
+    # the records are namedtuples and plain classes, so a cold import of the
+    # front end skips dataclasses and the inspect, ast and dis it pulls in;
+    # -S keeps site's start-up imports out of the count
+    src = Path(trifactor.__file__).resolve().parents[1]
+    code = ("import sys, trifactor.cli; print(' '.join(m for m in sys.modules "
+            "if m in ('dataclasses', 'inspect', 'typing', 'ast', 'dis')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
 

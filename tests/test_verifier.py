@@ -13,6 +13,7 @@ from trifactor.hypergraph import (
 from trifactor.verifier import (
     OutOfRangeError,
     SuiteConfig,
+    TheoremVerdict,
     char2_uniformity_scan,
     check_c1f,
     check_hb1f,
@@ -456,3 +457,68 @@ def test_default_config_covers_supported_range():
     cfg = SuiteConfig()
     assert cfg.qs == (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
     assert cfg.include_timings is False
+
+
+def test_records_get_default_containers_of_their_own():
+    a, b = BergeSearchResult("none"), BergeSearchResult("none")
+    a.vertices.append(0)
+    a.edge_indices.append(0)
+    assert (b.vertices, b.edge_indices) == ([], [])
+    c, d = SuiteConfig(), SuiteConfig()
+    c.expectations[("c1f", 5)] = True
+    assert d.expectations == {}
+    u, v = TheoremVerdict(5, "c1f", True, True), TheoremVerdict(5, "c1f", True, True)
+    u.stats["tasks"] = 1
+    assert v.stats == {}
+
+
+def test_result_records_compare_by_value():
+    assert OverlapResult(0, []) == OverlapResult(0, [], None, None)
+    assert OverlapResult(0, []).count == 0
+    assert repr(BergeSearchResult("none")) == (
+        "BergeSearchResult(status='none', vertices=[], edge_indices=[], nodes=0)")
+
+
+# SuiteConfig().describe() as the dataclass asdict gave it; the suite golden
+# carries it as the report's config block
+DEFAULT_DESCRIPTION = {
+    "qs": (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125),
+    "c1f_full_max_q": 17,
+    "hb1f_full_qs": (2, 5, 8),
+    "hb1f_reduced_qs": (),
+    "hb1f_sampled": (),
+    "trace_scan_degrees": (3, 5, 7, 9, 11, 13),
+    "time_budget": 10.0,
+    "expectations": {},
+}
+
+
+def test_config_describe_is_pinned():
+    assert SuiteConfig().describe() == DEFAULT_DESCRIPTION
+    cfg = parse_config("hb1f_sampled = 32:300:3 128:10:7\n"
+                       "expect_u1f_11 = true\nexpect_c1f_8 = false\n")
+    assert cfg.describe() == {**DEFAULT_DESCRIPTION,
+                              "hb1f_sampled": ((32, 300, 3), (128, 10, 7)),
+                              "expectations": {"c1f_8": False, "u1f_11": True}}
+    assert "include_timings" not in SuiteConfig(include_timings=True).describe()
+
+
+def test_expectation_override_leaves_the_checked_verdict_alone(monkeypatch):
+    # run_suite reports the expected value as predicted in a verdict of its
+    # own; a verdict is never a tuple, which is how note tells it from U1F's pair
+    import trifactor.verifier as verifier
+
+    checked = []
+
+    def recording_check_c1f(fact, mode):
+        checked.append(check_c1f(fact, mode))
+        return checked[-1]
+
+    monkeypatch.setattr(verifier, "check_c1f", recording_check_c1f)
+    cfg = SuiteConfig(qs=(17,), trace_scan_degrees=(), hb1f_full_qs=(),
+                      expectations={("c1f", 17): True})
+    rep = run_suite(cfg)
+    assert [v.predicted for v in checked] == [False, False]
+    assert not any(isinstance(v, tuple) for v in checked)
+    assert [p["predicted"] for p in rep.entries[0]["properties"]
+            if p["name"] == "c1f"] == [True, True]
