@@ -474,13 +474,13 @@ def test_records_get_default_containers_of_their_own():
 
 def test_result_records_compare_by_value():
     assert OverlapResult(0, []) == OverlapResult(0, [], None, None)
-    assert OverlapResult(0, []).count == 0
+    assert OverlapResult(0, []).count == 0  # the field, not tuple.count
     assert repr(BergeSearchResult("none")) == (
         "BergeSearchResult(status='none', vertices=[], edge_indices=[], nodes=0)")
 
 
-# SuiteConfig().describe() as the dataclass asdict gave it; the suite golden
-# carries it as the report's config block
+# SuiteConfig().describe(), pinned: the suite golden carries it as the
+# report's config block
 DEFAULT_DESCRIPTION = {
     "qs": (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125),
     "c1f_full_max_q": 17,
