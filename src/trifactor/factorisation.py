@@ -102,10 +102,19 @@ def _base_points(ctx: FiniteField) -> array:
 
 
 def _moved(img: Sequence[int], points: Iterable[int]) -> array:
-    """Flat edges moved by the point list img, each edge sorted, then the
-    edges sorted, as flat points."""
-    moved = edges_of(map(img.__getitem__, points))
-    return array("I", chain.from_iterable(sorted(map(sorted, moved))))
+    """Flat edges moved by the point list img, each edge sorted by
+    compare-and-swap, then the edges sorted, as flat points."""
+    edges = []
+    for x, y, z in edges_of(map(img.__getitem__, points)):
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        edges.append((x, y, z))
+    edges.sort()
+    return array("I", chain.from_iterable(edges))
 
 
 def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
@@ -325,14 +334,14 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     not a multiple of 3 drops the last one or two, which that check has
     already reported.  An edge that is not three points 0 <= a < b < c <= q
     of the line is reported as malformed, so it cannot stand in for a
-    missing triple.  Triple (a, b, c) is byte high[a] + mid[b] + c of one
-    n^3 array; an edge neither malformed nor a duplicate covers a new triple.
+    missing triple.  Triple (a, b, c) is byte C(c, 3) + C(b, 2) + a, its
+    colex rank, of one C(n, 3) array; other edges cover a new triple each.
     """
     n = fact.ctx.q + 1
     expected = math.comb(n, 3)
-    high = [a * n * n for a in range(n)]
-    mid = [b * n for b in range(n)]
-    seen = bytearray(n**3)
+    high = [math.comb(c, 3) for c in range(n)]
+    mid = [math.comb(b, 2) for b in range(n)]
+    seen = bytearray(expected)
     duplicates = []
     malformed = []
     not_one_factors = []
@@ -344,7 +353,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
         total += len(points) // 3
         for a, b, c in edges_of(points):
             if 0 <= a < b < c < n:
-                k = high[a] + mid[b] + c
+                k = high[c] + mid[b] + a
                 if seen[k]:
                     duplicates.append((a, b, c))
                 seen[k] = 1
@@ -353,7 +362,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     missing = []
     if total - len(duplicates) - len(malformed) != expected:
         for e in combinations(range(n), 3):
-            if not seen[high[e[0]] + mid[e[1]] + e[2]]:
+            if not seen[high[e[2]] + mid[e[1]] + e[0]]:
                 missing.append(e)
                 if len(missing) >= 10:
                     break

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from array import array
 from collections import Counter, namedtuple
+from collections.abc import Iterable
 
 from .field import FiniteField, InvariantError, UsageError
 from .factorisation import Edge, OneFactor, canonical_label, edges_of
@@ -63,12 +64,12 @@ def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
     return UnionHypergraph(n, points)
 
 
-def _merge_edges(h: UnionHypergraph) -> tuple[list[int], int]:
-    """Union-find parents after merging each edge's vertices, and the
-    number of components."""
-    parent = list(range(h.n))
-    count = h.n
-    for a, b, c in edges_of(h.points):
+def _merge(n: int, points: Iterable[int]) -> tuple[list[int], int]:
+    """Union-find parents on 0..n-1 after merging each edge's points, read
+    three at a time, and the number of components."""
+    parent = list(range(n))
+    count = n
+    for a, b, c in edges_of(points):
         # find each root, halving the path on the way
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -86,12 +87,12 @@ def _merge_edges(h: UnionHypergraph) -> tuple[list[int], int]:
 
 
 def is_connected(h: UnionHypergraph) -> bool:
-    return _merge_edges(h)[1] == 1
+    return _merge(h.n, h.points)[1] == 1
 
 
 def components(h: UnionHypergraph) -> list[list[int]]:
     """Vertex components, each sorted, ordered by smallest member."""
-    parent = _merge_edges(h)[0]
+    parent = _merge(h.n, h.points)[0]
     groups: dict[int, list[int]] = {}
     for v in range(h.n):
         root = v
@@ -99,6 +100,27 @@ def components(h: UnionHypergraph) -> list[list[int]]:
             root = parent[root]
         groups.setdefault(root, []).append(v)
     return sorted(groups.values())
+
+
+def block_map(f: OneFactor) -> list[int]:
+    """block[v], the index of f's edge through v, for the two kernels below."""
+    block = [0] * len(f.points)
+    for i, (x, y, z) in enumerate(edges_of(f.points)):
+        block[x] = block[y] = block[z] = i
+    return block
+
+
+def blocks_connected(block: list[int], f: OneFactor) -> bool:
+    """Is f's union with block's factor connected: do f's edges join all blocks?"""
+    return _merge(len(block) // 3, map(block.__getitem__, f.points))[1] == 1
+
+
+def block_overlap(block: list[int], f: OneFactor) -> int:
+    """pair_overlap's count: the point pairs of f's edges inside one block."""
+    count = 0
+    for x, y, z in edges_of(map(block.__getitem__, f.points)):
+        count += (x == y) + (x == z) + (y == z)
+    return count
 
 
 # -- pair overlap ------------------------------------------------------------
@@ -125,9 +147,7 @@ def pair_overlap(f1: OneFactor, f2: OneFactor) -> OverlapResult:
     """
     if f1.points == f2.points:
         raise ValueError("pair overlap needs two distinct factors")
-    block = [0] * len(f1.points)
-    for i, (x, y, z) in enumerate(edges_of(f1.points)):
-        block[x] = block[y] = block[z] = i
+    block = block_map(f1)
     common = []
     for x, y, z in edges_of(f2.points):
         if block[x] == block[y]:

@@ -17,6 +17,8 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
+from operator import itemgetter
 
 from .factorisation import (
     Factorisation,
@@ -37,11 +39,13 @@ from .field import (
 from .hypergraph import (
     DEFAULT_TIME_BUDGET,
     apply_isomorphism,
+    block_map,
+    block_overlap,
+    blocks_connected,
     components,
     find_hamilton_berge_cycle,
     find_isomorphism,
     is_connected,
-    pair_overlap,
     union_hypergraph,
     validate_berge_cycle,
 )
@@ -138,70 +142,98 @@ def _sweep(nf: int, k: int, mode: str):
     raise UsageError(f"unknown mode {mode!r}")
 
 
+def _to_base(fact: Factorisation):
+    """affine(m), the inverse of x -> a x + b of m's label, which moves factor
+    m to the base; moved(m, o), the index of o under it.  Cached per sweep."""
+    ctx = fact.ctx
+
+    @functools.cache
+    def affine(m):
+        a, b = fact.factors[m].label
+        return invert([ctx.add(ctx.mul(a, x), b) for x in range(ctx.q)] + [ctx.q])
+
+    @functools.cache
+    def moved(m, o):
+        return fact.image(affine(m), o)
+
+    return affine, moved
+
+
 def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
     """Is every union of two distinct factors connected?
 
     Reduced mode checks only pairs containing the base factor; full mode
-    checks every pair.  The witness of a false verdict is the first
-    disconnected pair with its component partition.
+    checks every pair, each on its first factor's block map.  The witness
+    of a false verdict is the first disconnected pair with its components.
     """
-    ctx = fact.ctx
-    n = ctx.q + 1
-    pairs = _sweep(len(fact.factors), 2, mode)
+    q = fact.ctx.q
+    factors = fact.factors
     witness = None
     connected_all = True
     tasks = 0
-    for i, j in pairs:
-        tasks += 1
-        h = union_hypergraph(n, [fact.factors[i], fact.factors[j]])
-        if not is_connected(h):
-            connected_all = False
-            if witness is None:
-                witness = {"pair": _labels_json(fact, (i, j)),
-                           "components": components(h)}
-    return TheoremVerdict(ctx.q, "c1f", connected_all, predict_c1f(ctx.q), witness,
+    for i, pairs in itertools.groupby(_sweep(len(factors), 2, mode), itemgetter(0)):
+        block = block_map(factors[i])
+        for _, j in pairs:
+            tasks += 1
+            if not blocks_connected(block, factors[j]):
+                connected_all = False
+                if witness is None:
+                    h = union_hypergraph(q + 1, [factors[i], factors[j]])
+                    witness = {"pair": _labels_json(fact, (i, j)),
+                               "components": components(h)}
+    return TheoremVerdict(q, "c1f", connected_all, predict_c1f(q), witness,
                           {"mode": mode, "tasks": tasks})
 
 
 def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     """Uniformity and uniform-connectedness verdicts.
 
-    Stage 1 computes the overlap of the base factor with every other
-    (reduced sweep); any value other than 2 refutes uniformity at once.
-    Stage 2 confirms that every pairwise union is isomorphic to a common
-    reference, and replays each isomorphism found: the union's edges moved
-    by it must be the reference's, else InvariantError.  The UC1F verdict
-    adds connectivity of that reference.
+    Stage 1 computes the overlap of the base factor with every other on its
+    block map; any value other than 2 refutes uniformity at once.  Stage 2
+    confirms that every pairwise union is isomorphic to the reference, the
+    union of factors 0 and 1.  affine(i), then elements[tau[x]] for x =
+    moved(i, j), moves pair (i, j) onto (0, r), r the least of x's N-orbit,
+    so one isomorphism is searched per N-orbit.  That map, then the
+    isomorphism of (0, r), must move the pair's union onto the reference's
+    edges, else InvariantError.  UC1F adds connectivity of the reference.
     """
     q = fact.ctx.q
     n = q + 1
-    nf = len(fact.factors)
-    base = fact.factors[0]
+    factors = fact.factors
+    nf = len(factors)
     witness = None
     computed: bool | None = True
     overlap_tasks = 0
+    block = block_map(factors[0])
     for j in range(1, nf):
         overlap_tasks += 1
-        r = pair_overlap(base, fact.factors[j])
-        if r.count != 2:
+        count = block_overlap(block, factors[j])
+        if count != 2:
             computed = False
-            witness = {"pair": _labels_json(fact, (0, j)), "overlap": r.count}
+            witness = {"pair": _labels_json(fact, (0, j)), "overlap": count}
             break
     iso_tasks = 0
-    reference = None
-    if nf >= 2:
-        reference = union_hypergraph(n, [fact.factors[0], fact.factors[1]])
+    reference = union_hypergraph(n, factors[:2]) if nf >= 2 else None
     if computed and reference is not None:
         reference_edges = sorted(reference.edges)
+        affine, moved = _to_base(fact)
+        sym = fact.symmetry
+        found = {}  # N-orbit representative r -> isomorphism of (0, r), or None
         for i, j in _sweep(nf, 2, "full"):
             iso_tasks += 1
-            h = union_hypergraph(n, [fact.factors[i], fact.factors[j]])
-            mapping = find_isomorphism(h, reference)
-            if mapping is None:
+            x = moved(i, j)
+            r = sym.rep[x]
+            if r not in found:
+                found[r] = find_isomorphism(union_hypergraph(n, [factors[0], factors[r]]),
+                                            reference)
+            if found[r] is None:
                 computed = False
                 witness = {"pair": _labels_json(fact, (i, j)),
                            "reason": "not_isomorphic"}
                 break
+            g = sym.elements[sym.tau[x]]
+            mapping = [found[r][g[v]] for v in affine(i)]
+            h = union_hypergraph(n, [factors[i], factors[j]])
             if apply_isomorphism(h, mapping) != reference_edges:
                 raise InvariantError(f"the isomorphism of pair {(i, j)} fails its replay")
     stats = {"overlap_tasks": overlap_tasks, "isomorphism_tasks": iso_tasks}
@@ -221,40 +253,25 @@ def time_budget_seconds(value) -> float:
     return seconds
 
 
-def _hb1f_check_triples(
-    fact: Factorisation, triples, time_budget: float
-) -> list[tuple[tuple[int, int, int], str]]:
-    """Each triple with "found", "none", "timeout" or "disconnected".
+def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
+    """Yield each triple with "found", "none", "timeout" or "disconnected".
 
-    PΓL(2,q) permutes the factors.  For each member m of a triple, the
-    inverse of the map x -> a x + b of m's label (a, b) moves m to the base
-    factor; N, the base factor's stabiliser, then puts the other two in the
-    canonical form of Symmetry.canonical.  The least form over the members
-    is the triple's key, and two triples share it exactly when an element
-    of PΓL(2,q) joins them.  The first triple of a key is checked on its
-    union: connectivity, then a search whose cycle must pass its replay.  A
-    later triple takes that status if its union, moved onto the key, has
-    the same edges, so that an isomorphism joins the two unions; else, as
-    for a failed replay, InvariantError.
+    PΓL(2,q) permutes the factors.  For each member m of a triple, affine(m)
+    moves m to the base factor, and N, the base's stabiliser, puts the other
+    two in the canonical form of Symmetry.canonical.  The least form over
+    the members is the triple's key, and two triples share it exactly when
+    an element of PΓL(2,q) joins them.  The first triple of a key is checked
+    on its union: connectivity, then a search whose cycle must pass its
+    replay.  A later triple takes that status if its union, moved onto the
+    key, has the same edges, so that an isomorphism joins the two unions;
+    else, as for a failed replay, InvariantError.
     """
-    ctx = fact.ctx
-    q = ctx.q
-    n = q + 1
+    n = fact.ctx.q + 1
     elements = fact.symmetry.elements
-
-    @functools.cache
-    def affine(m):  # the inverse of x -> a x + b of m's label, on points
-        a, b = fact.factors[m].label
-        return invert([ctx.add(ctx.mul(a, x), b) for x in range(q)] + [q])
-
-    @functools.cache
-    def moved(m, o):
-        return fact.image(affine(m), o)
-
+    affine, moved = _to_base(fact)
     canonical = functools.lru_cache(maxsize=1 << 16)(fact.symmetry.canonical)
 
     checked = {}  # key -> (edge codes moved onto the key, status)
-    out = []
     for t in triples:
         i, j, k = t
         key, s, tau, m = min(
@@ -280,8 +297,7 @@ def _hb1f_check_triples(
         elif codes != checked[key][0]:
             raise InvariantError(f"the union of triple {t} is not the image of "
                                  f"its class's first union")
-        out.append((t, checked[key][1]))
-    return out
+        yield t, checked[key][1]
 
 
 def check_hb1f(
@@ -321,14 +337,14 @@ def check_hb1f(
         triples = dict.fromkeys(tuple(sorted(rng.sample(range(nf), 3)))
                                 for _ in range(samples))
     else:
-        triples = list(_sweep(nf, 3, mode))
-
-    results = _hb1f_check_triples(fact, triples, time_budget)
+        triples = _sweep(nf, 3, mode)
 
     witness = None
     computed: bool | None = True
     timeouts = 0
-    for t, status in results:
+    tasks = 0
+    for t, status in _hb1f_check_triples(fact, triples, time_budget):
+        tasks += 1
         if status in ("disconnected", "none"):
             if witness is None:
                 witness = {"triple": _labels_json(fact, t),
@@ -340,23 +356,18 @@ def check_hb1f(
         computed = None
     stats = {
         "mode": mode,
-        "tasks": samples if mode == "sampled" else len(triples),
+        "tasks": samples if mode == "sampled" else tasks,
         "timeouts": timeouts,
     }
     if mode == "sampled":
-        stats["distinct_tasks"] = len(triples)
-        stats["samples"] = samples
-        stats["seed"] = seed
+        stats.update(distinct_tasks=tasks, samples=samples, seed=seed)
     return TheoremVerdict(q, "hb1f", computed, predict_hb1f(q), witness, stats)
 
 
 def overlap_distribution(fact: Factorisation) -> dict[int, int]:
-    """Histogram of base-factor overlaps over the reduced sweep."""
-    base = fact.factors[0]
-    hist: dict[int, int] = {}
-    for f in fact.factors[1:]:
-        c = pair_overlap(base, f).count
-        hist[c] = hist.get(c, 0) + 1
+    """Histogram of base-factor overlaps, on the base factor's block map."""
+    block = block_map(fact.factors[0])
+    hist = Counter(block_overlap(block, f) for f in fact.factors[1:])
     return dict(sorted(hist.items()))
 
 

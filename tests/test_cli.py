@@ -5,7 +5,7 @@ import pytest
 
 from trifactor.cli import build_parser, main
 from trifactor.factorisation import build_factorisation, load_factorisation
-from trifactor.hypergraph import BergeSearchResult, OverlapResult
+from trifactor.hypergraph import BergeSearchResult
 from trifactor.verifier import SuiteConfig, field_for, json_text, run_suite
 
 
@@ -127,8 +127,7 @@ def test_overlap_histogram(capsys):
 
 
 def test_overlap_histogram_off_its_sums_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr("trifactor.verifier.pair_overlap",
-                        lambda f1, f2: OverlapResult(0, []))
+    monkeypatch.setattr("trifactor.verifier.block_overlap", lambda block, f: 0)
     code, out, err = run_cli(capsys, "overlap", "--q", "11")
     assert code == 4
     assert out == ""

@@ -10,6 +10,9 @@ from trifactor.hypergraph import (
     BergeSearchResult,
     UnionHypergraph,
     apply_isomorphism,
+    block_map,
+    block_overlap,
+    blocks_connected,
     components,
     find_hamilton_berge_cycle,
     find_isomorphism,
@@ -56,6 +59,26 @@ def test_connectivity_small_cases():
     edgeless = UnionHypergraph(4, array("I"))
     assert not is_connected(edgeless)
     assert components(edgeless) == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("q", [2, 5, 8, 11, 17, 59])
+def test_block_kernels_match_the_union_and_pair_overlap(factorisations, q):
+    # every ordered pair at q <= 17; at q=59 every pair with the base factor,
+    # in both orders
+    fact = factorisations(q)
+    nf = len(fact.factors)
+    pairs = (itertools.permutations(range(nf), 2) if q <= 17 else
+             [(i, j) for k in range(1, nf) for i, j in ((0, k), (k, 0))])
+    verdicts = set()
+    for i, j in pairs:
+        fi, fj = fact.factors[i], fact.factors[j]
+        block = block_map(fi)
+        connected = is_connected(union_hypergraph(q + 1, [fi, fj]))
+        assert blocks_connected(block, fj) == connected, (i, j)
+        assert block_overlap(block, fj) == pair_overlap(fi, fj).count, (i, j)
+        verdicts.add(connected)
+    # q=2 has one factor and no pair
+    assert verdicts == {2: set(), 17: {False, True}, 59: {False, True}}.get(q, {True})
 
 
 def test_subfield_union_disconnects_gf125():

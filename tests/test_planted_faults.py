@@ -3,7 +3,7 @@ and the run must notice it, by a non-zero exit or an InvariantError.
 
 A run-time check that is added gets its fault added to the table.  See
 DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
-11(4) (1978).  A pair_overlap stuck at 2 is not in the table: the mean
+11(4) (1978).  A block_overlap stuck at 2 is not in the table: the mean
 overlap is exactly 2, so both histogram sums still hold and the run exits 0.
 """
 
@@ -22,6 +22,7 @@ from trifactor.verifier import SuiteConfig, json_text, run_suite
 CONFIG = SuiteConfig(qs=(5, 8, 11, 17), hb1f_full_qs=(5, 8), trace_scan_degrees=(3, 5))
 _verify_partition = verifier.verify_partition
 _build_factorisation = verifier.build_factorisation
+_image = factorisation.Factorisation.image
 
 
 def _one_duplicate(fact):
@@ -40,9 +41,15 @@ def _edge_swapped(ctx):
     return fact
 
 
+def _neighbouring_image(fact, perm, i):
+    """Factorisation.image, right while N is listed and one factor on after."""
+    j = _image(fact, perm, i)
+    return (j + 1) % len(fact.factors) if "symmetry" in vars(fact) else j
+
+
 # (object, attribute, replacement, exit code or InvariantError message)
 FAULTS = {
-    "connected always": (verifier, "is_connected", lambda h: True, 1),
+    "connected always": (verifier, "blocks_connected", lambda block, f: True, 1),
     "connected never": (verifier, "is_connected", lambda h: False, 1),
     "no Berge cycle": (verifier, "find_hamilton_berge_cycle",
                        lambda h, budget: BergeSearchResult("none"), 1),
@@ -64,6 +71,8 @@ FAULTS = {
                         "does not sum to"),
     "Frobenius the identity": (FiniteField, "frobenius", lambda self, a: a,
                                "18 distinct elements, not 54"),
+    "wrong factor image": (factorisation.Factorisation, "image", _neighbouring_image,
+                           "isomorphism of pair \\(0, 1\\) fails its replay"),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -7,8 +8,10 @@ from trifactor.field import InvariantError, UsageError, field
 from trifactor.hypergraph import (
     BergeSearchResult,
     OverlapResult,
+    find_isomorphism,
     pair_overlap,
     pair_overlap_algebraic,
+    union_hypergraph,
 )
 from trifactor.verifier import (
     OutOfRangeError,
@@ -132,6 +135,36 @@ def test_check_u1f_replays_every_isomorphism(facts, monkeypatch):
 def test_check_u1f_wrong_isomorphism_is_an_internal_fault(facts, swapped_isomorphism):
     with pytest.raises(InvariantError, match="isomorphism of pair .* fails its replay"):
         check_u1f(facts(8))
+
+
+def per_pair_u1f(fact):
+    """U1F's computed verdict, witness and stats by the plain loop: every
+    base overlap by pair_overlap, then one find_isomorphism per pair."""
+    n, factors = fact.ctx.q + 1, fact.factors
+    nf = len(factors)
+
+    def labels(*pair):
+        return [[fact.ctx.element_str(e) for e in factors[i].label] for i in pair]
+
+    for j in range(1, nf):
+        count = pair_overlap(factors[0], factors[j]).count
+        if count != 2:
+            return False, {"pair": labels(0, j), "overlap": count}, (j, 0)
+    reference = union_hypergraph(n, factors[:2])
+    for tasks, (i, j) in enumerate(itertools.combinations(range(nf), 2), 1):
+        if find_isomorphism(union_hypergraph(n, [factors[i], factors[j]]),
+                            reference) is None:
+            return False, {"pair": labels(i, j), "reason": "not_isomorphic"}, (
+                nf - 1, tasks)
+    return True, None, (nf - 1, nf * (nf - 1) // 2)
+
+
+@pytest.mark.parametrize("q", [5, 8, 11])
+def test_check_u1f_matches_the_per_pair_loop(facts, q):
+    u1f, _ = check_u1f(facts(q))
+    computed, witness, tasks = per_pair_u1f(facts(q))
+    assert (u1f.computed, u1f.witness) == (computed, witness)
+    assert (u1f.stats["overlap_tasks"], u1f.stats["isomorphism_tasks"]) == tasks
 
 
 def test_check_hb1f_q5_full(facts):
@@ -404,15 +437,14 @@ def test_run_suite_refuses_a_broken_partition(one_duplicate_edge):
 
 @pytest.mark.parametrize("fault", ["empty histogram", "overlap 0"])
 def test_run_suite_checks_the_overlap_histogram(monkeypatch, fault):
-    # a pair_overlap stuck at 2 would pass both sums: the mean overlap of
+    # a block_overlap stuck at 2 would pass both sums: the mean overlap of
     # the nf - 1 = (q + 1)(q - 2)/2 other factors is exactly 2
     import trifactor.verifier as verifier
 
     if fault == "empty histogram":
         monkeypatch.setattr(verifier, "overlap_distribution", lambda fact: {})
     else:
-        monkeypatch.setattr(verifier, "pair_overlap",
-                            lambda f1, f2: OverlapResult(0, []))
+        monkeypatch.setattr(verifier, "block_overlap", lambda block, f: 0)
     with pytest.raises(InvariantError, match="q=11: overlap histogram .* does not "
                                              "sum to 54 factors and 108 shared pairs"):
         run_suite(SuiteConfig(qs=(11,), trace_scan_degrees=(), hb1f_full_qs=()))
