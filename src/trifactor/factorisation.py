@@ -113,8 +113,7 @@ def _moved(img: Sequence[int], points: Iterable[int]) -> array:
             if x > y:
                 x, y = y, x
         edges.append((x, y, z))
-    edges.sort()
-    return array("I", chain.from_iterable(edges))
+    return array("I", chain.from_iterable(sorted(edges)))
 
 
 def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:

@@ -66,10 +66,12 @@ def union_hypergraph(n: int, factors: list[OneFactor]) -> UnionHypergraph:
 
 def _merge(n: int, points: Iterable[int]) -> tuple[list[int], int]:
     """Union-find parents on 0..n-1 after merging each edge's points, read
-    three at a time, and the number of components."""
+    three at a time, until one component is left; and the component count."""
     parent = list(range(n))
     count = n
     for a, b, c in edges_of(points):
+        if count == 1:  # no later edge can split it
+            break
         # find each root, halving the path on the way
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]

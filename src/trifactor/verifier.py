@@ -169,19 +169,17 @@ def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
     q = fact.ctx.q
     factors = fact.factors
     witness = None
-    connected_all = True
     tasks = 0
     for i, pairs in itertools.groupby(_sweep(len(factors), 2, mode), itemgetter(0)):
         block = block_map(factors[i])
         for _, j in pairs:
             tasks += 1
             if not blocks_connected(block, factors[j]):
-                connected_all = False
                 if witness is None:
                     h = union_hypergraph(q + 1, [factors[i], factors[j]])
                     witness = {"pair": _labels_json(fact, (i, j)),
                                "components": components(h)}
-    return TheoremVerdict(q, "c1f", connected_all, predict_c1f(q), witness,
+    return TheoremVerdict(q, "c1f", witness is None, predict_c1f(q), witness,
                           {"mode": mode, "tasks": tasks})
 
 
