@@ -190,10 +190,10 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     block map; any value other than 2 refutes uniformity at once.  Stage 2
     confirms that every pairwise union is isomorphic to the reference, the
     union of factors 0 and 1.  affine(i), then elements[tau[x]] for x =
-    moved(i, j), moves pair (i, j) onto (0, r), r the least of x's N-orbit,
-    so one isomorphism is searched per N-orbit.  That map, then the
-    isomorphism of (0, r), must move the pair's union onto the reference's
-    edges, else InvariantError.  UC1F adds connectivity of the reference.
+    moved(i, j), moves pair (i, j) onto (0, r), r the least of x's N-orbit;
+    the sweep meets (0, r) first and searches one isomorphism there.  That
+    map, then it, must move the pair's union onto the reference's edges,
+    else InvariantError.  UC1F adds connectivity of the reference.
     """
     q = fact.ctx.q
     n = q + 1
