@@ -22,6 +22,7 @@ from operator import itemgetter
 
 from .factorisation import (
     Factorisation,
+    _moved,
     build_factorisation,
     edges_of,
     require_residue,
@@ -254,48 +255,53 @@ def time_budget_seconds(value) -> float:
 def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
     """Yield each triple with "found", "none", "timeout" or "disconnected".
 
-    PΓL(2,q) permutes the factors.  For each member m of a triple, affine(m)
-    moves m to the base factor, and N, the base's stabiliser, puts the other
-    two in the canonical form of Symmetry.canonical.  The least form over
-    the members is the triple's key, and two triples share it exactly when
-    an element of PΓL(2,q) joins them.  The first triple of a key is checked
-    on its union: connectivity, then a search whose cycle must pass its
-    replay.  A later triple takes that status if its union, moved onto the
-    key, has the same edges, so that an isomorphism joins the two unions;
-    else, as for a failed replay, InvariantError.
+    affine(i) moves triple (i, j, k) onto its base triple, of moved(i, i) = 0,
+    moved(i, j) and moved(i, k), each move replayed once on the moved
+    factor's points.  For each member m of a base triple, affine(m) moves m
+    to the base factor and N, the base's stabiliser, puts the other two in
+    Symmetry.canonical form.  The least form over the members is the key,
+    shared by two triples exactly when an element of PΓL(2,q) joins them.
+    A key's first base triple is checked on its union: connectivity, then a
+    search whose cycle must pass its replay.  A later one takes that status
+    if its union, moved onto the key, has the same edges; else, as for a
+    failed replay, InvariantError.
     """
-    n = fact.ctx.q + 1
     elements = fact.symmetry.elements
     affine, moved = _to_base(fact)
     canonical = functools.lru_cache(maxsize=1 << 16)(fact.symmetry.canonical)
-
     checked = {}  # key -> (edge codes moved onto the key, status)
-    for t in triples:
-        i, j, k = t
-        key, s, tau, m = min(
-            canonical(min(x, y), max(x, y)) + (m,)
-            for m, x, y in ((i, moved(i, j), moved(i, k)),
-                            (j, moved(j, i), moved(j, k)),
-                            (k, moved(k, i), moved(k, j))))
-        h = union_hypergraph(n, [fact.factors[x] for x in t])
-        # s∘tau∘(x -> a x + b)^-1 moves t onto its key; bit[v] marks v's image
+
+    @functools.cache
+    def replayed(m, o):
+        x = moved(m, o)
+        if _moved(affine(m), fact.factors[o].points) != fact.factors[x].points:
+            raise InvariantError(f"affine({m}) does not move factor {o} onto factor {x}")
+        return x
+
+    @functools.cache
+    def status(base):
+        key, s, tau, m = min(canonical(*sorted(moved(m, o) for o in base if o != m)) + (m,)
+                             for m in base)
+        h = union_hypergraph(fact.ctx.q + 1, [fact.factors[x] for x in base])
+        # s∘tau∘(x -> a x + b)^-1 moves base onto its key; bit[v] marks v's image
         g, t_fwd = elements[s], elements[tau]
         bit = [1 << g[t_fwd[v]] for v in affine(m)]
-        codes = [bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points)]
-        codes.sort()
+        codes = sorted(bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points))
         if key not in checked:
             if not is_connected(h):
-                status = "disconnected"
+                checked[key] = (codes, "disconnected")
             else:
                 result = find_hamilton_berge_cycle(h, time_budget)
                 if result.found and not validate_berge_cycle(h, result):
-                    raise InvariantError(f"the Berge cycle of triple {t} fails its replay")
-                status = result.status
-            checked[key] = (codes, status)
+                    raise InvariantError(f"the Berge cycle of triple {base} fails its replay")
+                checked[key] = (codes, result.status)
         elif codes != checked[key][0]:
-            raise InvariantError(f"the union of triple {t} is not the image of "
+            raise InvariantError(f"the union of base triple {base} is not the image of "
                                  f"its class's first union")
-        yield t, checked[key][1]
+        return checked[key][1]
+
+    for t in triples:
+        yield t, status(tuple(sorted([replayed(t[0], o) for o in t])))
 
 
 def check_hb1f(
@@ -310,14 +316,14 @@ def check_hb1f(
     Connectivity is checked first as the cheap necessary condition; a
     disconnected triple is a definite counterexample and is flagged as
     such.  A search timeout makes the verdict indeterminate rather than
-    false, and counts once per triple of the class.  Later triples of a
-    PΓL(2,q) class take the status of its first through a checked point
-    map (see _hb1f_check_triples).  Sampled mode draws `samples`
-    random triples from the given seed and certifies each distinct one once
-    (stats: tasks = samples, distinct_tasks, and timeouts among the distinct
-    triples); reduced mode fixes the first factor to the base factor.
-    Only sampled mode takes samples and seed; either one in another mode is
-    a UsageError.
+    false, and counts once per triple of the class.  Each triple takes the
+    status of its base triple through checked factor moves, and a class's
+    search runs on the union of its first base triple (see
+    _hb1f_check_triples).  Sampled mode draws `samples` random triples from
+    the given seed and certifies each distinct one once (stats: tasks =
+    samples, distinct_tasks, and timeouts among the distinct triples);
+    reduced mode fixes the first factor to the base factor.  Only sampled
+    mode takes samples and seed; either one in another mode is a UsageError.
     """
     time_budget_seconds(time_budget)
     if mode != "sampled" and (samples is not None or seed is not None):

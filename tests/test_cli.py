@@ -364,7 +364,7 @@ def test_odd_census_pair_count_exits_4(extra_a4_pair, capsys):
 
 
 def test_tampered_union_exits_4(tamper_union, capsys):
-    tamper_union(3276)  # the last triple at q=8, not the first of its class
+    tamper_union(351)  # the last base triple at q=8, not the first of its class
     code, out, err = run_cli(capsys, "check", "hb1f", "--q", "8", "--mode", "full")
     assert code == 4
     assert out == ""

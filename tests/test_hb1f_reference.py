@@ -2,10 +2,12 @@
 
 reference_check_triples is the earlier body of _hb1f_check_triples, kept as
 the reference: it checks connectivity and then searches every triple.  The
-loop now checks the first triple of each PΓL(2,q) class and gives its status
-to the later triples of the class, so the (triple, status) pairs it yields
-must equal the reference's list in every mode, and a full sweep must search
-once per class.
+loop now moves each triple onto its base triple, the one holding the base
+factor, by factor moves it replays, and decides each PΓL(2,q) class once,
+on the union of its first base triple; a later base triple takes that status
+once its union replays onto the class's.  So the (triple, status) pairs it
+yields must equal the reference's list in every mode, and a full sweep must
+search once per class.
 """
 
 import itertools

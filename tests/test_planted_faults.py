@@ -91,6 +91,14 @@ def test_a_planted_fault_is_caught(monkeypatch, fault):
         assert run_suite(CONFIG).exit_code == caught
 
 
+def test_a_wrong_factor_image_fails_the_hb1f_move_replay(monkeypatch):
+    # U1F meets this fault first in a suite run; HB1F's own replay sees it too
+    fact = _build_factorisation(verifier.field_for(8))
+    monkeypatch.setattr(factorisation.Factorisation, "image", _neighbouring_image)
+    with pytest.raises(InvariantError, match="does not move factor"):
+        verifier.check_hb1f(fact, "full")
+
+
 def test_the_report_does_not_depend_on_the_clock(monkeypatch):
     # a clock that jumps 0.25 s at every read changes no byte of the report
     expected = json_text(run_suite(CONFIG).to_dict())

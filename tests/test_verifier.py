@@ -1,9 +1,10 @@
 import itertools
 import json
+from array import array
 
 import pytest
 
-from trifactor.factorisation import build_factorisation
+from trifactor.factorisation import OneFactor, build_factorisation
 from trifactor.field import InvariantError, UsageError, field
 from trifactor.hypergraph import (
     BergeSearchResult,
@@ -218,17 +219,20 @@ def counting(monkeypatch, name):
 
 
 def test_check_hb1f_sampled_searches_each_distinct_triple_once(facts, monkeypatch):
-    # each distinct triple gets its own union; only the first triple of
-    # each PΓL(2,q) class is searched and has its cycle replayed
+    # the 872 distinct triples move onto 310 base triples, each with its own
+    # union holding the base factor; only the first base triple of each
+    # PΓL(2,q) class is searched and has its cycle replayed
     searched = counting(monkeypatch, "find_hamilton_berge_cycle")
     replayed = counting(monkeypatch, "validate_berge_cycle")
     unions = counting(monkeypatch, "union_hypergraph")
-    v = check_hb1f(facts(8), mode="sampled", samples=1000, seed=7)
+    fact = facts(8)
+    v = check_hb1f(fact, mode="sampled", samples=1000, seed=7)
     assert v.computed is True
     assert v.stats["tasks"] == 1000 and v.stats["distinct_tasks"] == 872
     assert len(searched) == len(replayed) == 6
-    assert len(unions) == 872
-    assert len({tuple(f.label for f in factors) for _, factors in unions}) == 872
+    assert len(unions) == 310
+    assert len({tuple(f.label for f in factors) for _, factors in unions}) == 310
+    assert all(factors[0] is fact.factors[0] for _, factors in unions)
 
 
 def test_check_hb1f_full_certifies_each_class_once(facts, monkeypatch):
@@ -238,14 +242,41 @@ def test_check_hb1f_full_certifies_each_class_once(facts, monkeypatch):
     v = check_hb1f(facts(11), mode="full")
     assert v.computed is True and v.stats["tasks"] == 26235
     assert len(searched) == len(replayed) == 37
-    assert len(unions) == 26235
+    # one union per base triple (0, x, y): C(54, 2) of them
+    assert len(unions) == 1431
+    assert len({tuple(f.label for f in factors) for _, factors in unions}) == 1431
+
+
+def test_check_hb1f_full_q17_matches_the_unreduced_report(facts):
+    # the report of the sweep that built a union and a key for every triple
+    assert check_hb1f(facts(17), mode="full").to_dict() == {
+        "name": "hb1f", "computed": False, "predicted": False,
+        "witness": {"triple": [["1", "0"], ["1", "4"], ["4", "0"]],
+                    "disconnected": True},
+        "stats": {"mode": "full", "tasks": 410040, "timeouts": 0},
+    }
 
 
 def test_check_hb1f_tampered_union_is_an_internal_fault(facts, tamper_union):
-    # the last of the 3276 triples at q=8 is not the first of its class
-    tamper_union(3276)
+    # the last of the 351 base-triple unions at q=8 is not the first of its class
+    tamper_union(351)
     with pytest.raises(InvariantError, match="not the image of its class's"):
         check_hb1f(facts(8), mode="full")
+
+
+def test_check_hb1f_tampered_factor_fails_its_move():
+    # factor 1 with a point traded between its first two edges, each edge and
+    # the edge list sorted again: still a 1-factor, but not its label's orbits.
+    # A triple led by it takes no status before affine(1) replays on it.
+    import trifactor.verifier as verifier
+
+    fact = build_factorisation(field(2, 3))
+    one = fact.factors[1]
+    x, y, z, u, v, w = one.points[:6]
+    edges = sorted([tuple(sorted((x, y, w))), tuple(sorted((u, v, z))), *one.edges[2:]])
+    fact.factors[1] = OneFactor(one.label, array("I", itertools.chain(*edges)))
+    with pytest.raises(InvariantError, match="affine\\(1\\) does not move factor 1 onto"):
+        list(verifier._hb1f_check_triples(fact, [(1, 2, 3)], 10.0))
 
 
 @pytest.mark.parametrize("status", ["timeout", "none"])
