@@ -276,7 +276,7 @@ class Symmetry:
         image = self._fact.image
         t = self.tau[x]
         y = image(self.elements[t], y)
-        z, s = min((image(self.elements[s], y), s)
+        z, s = min((image(self.elements[s], y) if s else y, s)
                    for s in self.stabiliser[self.rep[x]])
         return (self.rep[x], z), s, t
 

@@ -259,16 +259,14 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
     moved(i, j) and moved(i, k), each move replayed once on the moved
     factor's points.  For each member m of a base triple, affine(m) moves m
     to the base factor and N, the base's stabiliser, puts the other two in
-    Symmetry.canonical form.  The least form over the members is the key,
-    shared by two triples exactly when an element of PΓL(2,q) joins them.
-    A key's first base triple is checked on its union: connectivity, then a
-    search whose cycle must pass its replay.  A later one takes that status
-    if its union, moved onto the key, has the same edges; else, as for a
-    failed replay, InvariantError.
+    Symmetry.canonical form; the least form is the key, shared by two
+    triples exactly when an element of PΓL(2,q) joins them.  A key's first
+    base triple is checked on its union: connectivity, then a search whose
+    cycle must pass its replay.  A later one takes that status if its union,
+    moved onto the key, has the same edges, else InvariantError.
     """
-    elements = fact.symmetry.elements
+    sym = fact.symmetry
     affine, moved = _to_base(fact)
-    canonical = functools.lru_cache(maxsize=1 << 16)(fact.symmetry.canonical)
     checked = {}  # key -> (edge codes moved onto the key, status)
 
     @functools.cache
@@ -280,13 +278,13 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
 
     @functools.cache
     def status(base):
-        key, s, tau, m = min(canonical(*sorted(moved(m, o) for o in base if o != m)) + (m,)
-                             for m in base)
+        key, s, tau, m = min(sym.canonical(*sorted(moved(m, o) for o in base if o != m))
+                             + (m,) for m in base)
         h = union_hypergraph(fact.ctx.q + 1, [fact.factors[x] for x in base])
         # s∘tau∘(x -> a x + b)^-1 moves base onto its key; bit[v] marks v's image
-        g, t_fwd = elements[s], elements[tau]
+        g, t_fwd = sym.elements[s], sym.elements[tau]
         bit = [1 << g[t_fwd[v]] for v in affine(m)]
-        codes = sorted(bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points))
+        codes = sorted([bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points)])
         if key not in checked:
             if not is_connected(h):
                 checked[key] = (codes, "disconnected")
