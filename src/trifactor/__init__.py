@@ -9,7 +9,7 @@ closed-form algebraic criteria, whether it is connected (C1F), uniform
 """
 
 from .field import FiniteField
-from .projline import Mobius, affine_map, base_map, identity_map, infinity, orbit_map
+from .projline import Mobius, affine_map, base_map, orbit_map
 from .factorisation import (
     Factorisation,
     OneFactor,
@@ -23,8 +23,6 @@ __all__ = [
     "Mobius",
     "affine_map",
     "base_map",
-    "identity_map",
-    "infinity",
     "orbit_map",
     "Factorisation",
     "OneFactor",

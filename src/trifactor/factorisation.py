@@ -34,7 +34,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, combinations
 
-from .field import FiniteField, InvariantError, OutOfRangeError, UsageError, field
+from .field import FiniteField, InvariantError, OutOfRangeError, UsageError
 from .projline import Mobius, base_map, invert
 
 Edge = tuple[int, int, int]
@@ -145,15 +145,6 @@ class Factorisation:
 
     def __len__(self):
         return len(self.factors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Factorisation)
-            and self.ctx.p == other.ctx.p
-            and self.ctx.l == other.ctx.l
-            and [f.points for f in self.factors] == [f.points for f in other.factors]
-            and [f.label for f in self.factors] == [f.label for f in other.factors]
-        )
 
     def index(self, a: int, b: int) -> int:
         """Index of the factor that label (a, b) or its twin names."""
@@ -369,7 +360,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
                            not_one_factors)
 
 
-# -- text dump / load ------------------------------------------------------
+# -- text dump -------------------------------------------------------------
 
 
 def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
@@ -390,81 +381,3 @@ def dumps_factorisation(fact: Factorisation, human: bool = False) -> str:
             lines.append(" ".join(inf_text if v == ctx.q else str(v) for v in edge))
     return "\n".join(lines) + "\n"
 
-
-def load_factorisation(source: str | Iterable[str]) -> Factorisation:
-    """Check a dump against the construction, and return the construction.
-
-    source is the dump's text or its lines, such as an open text file.
-    The header names the field.  The factor blocks must be the built
-    factors in number and order, each with the same index, label and edge
-    set.  Blank lines, "inf" for the index q, and the order of the points
-    in a line and of the edges in a block are free.  Any other difference
-    raises UsageError naming the header or the line.
-    """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise UsageError("empty dump")
-    try:
-        ctx = _header_field(lines[0])
-    except ValueError as exc:
-        raise UsageError(f"bad dump header {lines[0]!r}: {exc}") from None
-    q = ctx.q
-    fact = build_factorisation(ctx)
-
-    blocks: list[tuple[str, int, tuple[int, int], list[Edge]]] = []
-    for ln in lines[1:]:
-        try:
-            parts = ln.split()
-            if parts[0] == "factor":
-                if (len(parts) != 4 or not parts[2].startswith("alpha=")
-                        or not parts[3].startswith("beta=")):
-                    raise ValueError("expected factor INDEX alpha=A beta=B")
-                label = (ctx.parse_element(parts[2][len("alpha="):]),
-                         ctx.parse_element(parts[3][len("beta="):]))
-                blocks.append((ln, int(parts[1]), label, []))
-            elif not blocks:
-                raise ValueError("edge before the first factor")
-            elif len(parts) != 3:
-                raise ValueError("an edge has three points")
-            else:
-                blocks[-1][3].append(
-                    tuple(sorted(q if tok == "inf" else int(tok) for tok in parts))
-                )
-        except ValueError as exc:
-            raise UsageError(f"bad dump line {ln!r}: {exc}") from None
-
-    if len(blocks) != len(fact.factors):
-        raise UsageError(f"dump has {len(blocks)} factors, "
-                         f"the construction {len(fact.factors)}")
-    for i, ((ln, idx, label, edges), f) in enumerate(zip(blocks, fact.factors)):
-        if (idx, label) != (i, f.label):
-            a, b = f.label
-            raise UsageError(f"dump line {ln!r} is factor {i} "
-                             f"alpha={ctx.element_str(a)} beta={ctx.element_str(b)} "
-                             f"in the construction")
-        if tuple(sorted(edges)) != f.edges:
-            raise UsageError(f"edges under dump line {ln!r} differ from the "
-                             f"construction's")
-    return fact
-
-
-def _header_field(line: str) -> FiniteField:
-    header = {}
-    for part in line.split():
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"{part!r} is not key=value")
-        header[key] = value
-    for key in ("q", "p", "l", "modulus"):
-        if key not in header:
-            raise ValueError(f"no {key}=")
-    ctx = field(int(header["p"]), int(header["l"]))
-    if int(header["q"]) != ctx.q:
-        raise ValueError(f"q is not p^l={ctx.q}")
-    if header["modulus"] != ",".join(str(c) for c in ctx.modulus):
-        raise ValueError("modulus is not the canonical modulus")
-    return ctx

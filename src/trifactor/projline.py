@@ -14,17 +14,8 @@ from __future__ import annotations
 from .field import FiniteField, InvariantError, UsageError
 
 
-def infinity(ctx: FiniteField) -> int:
-    """Index of the point at infinity."""
-    return ctx.q
-
-
 def point_str(ctx: FiniteField, x: int) -> str:
     return "inf" if x == ctx.q else ctx.element_str(x)
-
-
-def parse_point(ctx: FiniteField, text: str) -> int:
-    return ctx.q if text == "inf" else ctx.parse_element(text)
 
 
 class Mobius:
@@ -56,11 +47,6 @@ class Mobius:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    @property
-    def det(self) -> int:
-        ctx = self.ctx
-        return ctx.sub(ctx.mul(self.a, self.d), ctx.mul(self.b, self.c))
-
     def __eq__(self, other):
         return (
             isinstance(other, Mobius)
@@ -73,10 +59,6 @@ class Mobius:
 
     def __repr__(self):
         return f"Mobius{self.entries}"
-
-    def __str__(self):
-        ctx = self.ctx
-        return " ".join(ctx.element_str(e) for e in self.entries)
 
     def __call__(self, x: int) -> int:
         ctx = self.ctx
@@ -120,10 +102,6 @@ def invert(perm) -> tuple[int, ...]:
     for x, y in enumerate(perm):
         inv[y] = x
     return tuple(inv)
-
-
-def identity_map(ctx: FiniteField) -> Mobius:
-    return Mobius(ctx, 1, 0, 0, 1)
 
 
 def base_map(ctx: FiniteField) -> Mobius:

@@ -1,12 +1,12 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from trifactor.cli import build_parser, main
-from trifactor.factorisation import build_factorisation, load_factorisation
 from trifactor.hypergraph import BergeSearchResult
-from trifactor.verifier import SuiteConfig, field_for, json_text, run_suite
+from trifactor.verifier import SuiteConfig, json_text, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -15,16 +15,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# sha256 of the construct dumps; any change to the dump format or to the
+# factors, their order or their labels changes them
+CONSTRUCT_Q11 = "01f5e7ff2e11d815e0949de2683a73e777f1e16a74bab0e3a7cedb897d6b49aa"
+CONSTRUCT_Q8_HUMAN = "136bf28a7be23ccda44a3780ceedf0b6f3c9f339eec8511a8674d107420c0a83"
+
+
 def test_construct_round_trip(tmp_path, capsys):
-    out = tmp_path / "f5.txt"
-    code, _, _ = run_cli(capsys, "construct", "--q", "5", "--out", str(out))
-    assert code == 0
-    loaded = load_factorisation(out.read_text())
-    assert loaded == build_factorisation(field_for(5))
-    # idempotent
-    code, _, _ = run_cli(capsys, "construct", "--q", "5", "--out", str(out))
-    assert code == 0
-    assert load_factorisation(out.read_text()) == loaded
+    out = tmp_path / "f11.txt"
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "construct", "--q", "11", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_Q11
+        code, text, _ = run_cli(capsys, "construct", "--q", "8", "--human")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_Q8_HUMAN
 
 
 def test_construct_q2_single_factor(capsys):

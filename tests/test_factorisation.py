@@ -1,4 +1,3 @@
-import io
 import math
 import os
 import random
@@ -17,7 +16,6 @@ from trifactor.factorisation import (
     build_one_factor,
     canonical_label,
     dumps_factorisation,
-    load_factorisation,
     verify_partition,
 )
 from trifactor.field import (
@@ -83,9 +81,9 @@ def test_each_factor_is_a_perfect_matching():
             assert sorted(covered) == list(range(n))
 
 
-def test_every_factor_hit_by_exactly_two_labels():
-    for p, l in [(5, 1), (2, 3), (11, 1)]:
-        fact = build_factorisation(field(p, l))
+def test_every_factor_hit_by_exactly_two_labels(factorisations):
+    for q in [2, 5, 8, 11, 125]:
+        fact = factorisations(q)
         ctx = fact.ctx
         counts = {}
         for a in range(1, ctx.q):
@@ -350,78 +348,13 @@ def test_verify_partition_finds_one_moved_point_at_q125(factorisations):
     assert rep.not_one_factors == [1]  # w twice, the edge's last point never
 
 
-def test_dump_round_trip():
-    for p, l in [(5, 1), (2, 3)]:
-        fact = build_factorisation(field(p, l))
-        text = dumps_factorisation(fact)
-        again = load_factorisation(text)
-        assert again == fact
-
-
-@pytest.mark.parametrize("q", [2, 5, 8, 11, 125])
-def test_load_registers_every_label(q):
-    # each factor's twin label (-a, a + b) must resolve after a round trip
-    fact = build_factorisation(field_for(q))
-    again = load_factorisation(dumps_factorisation(fact))
-    assert again == fact
-    assert all(again.index(a, b) == fact.index(a, b)
-               for a in range(1, q) for b in range(q))
-
-
-def _edit_q5_dump(edit):
-    lines = dumps_factorisation(build_factorisation(field(5))).splitlines()
-    factor1 = lines.index("factor 1 alpha=1 beta=1")
-    if edit == "no q":
-        lines[0] = lines[0].replace("q=5 ", "")
-    elif edit == "header token":
-        lines[0] += " extra"
-    elif edit == "edge token":
-        lines[2] = "0 1 x"
-    elif edit == "edge first":
-        lines.insert(1, "2 3 4")
-    elif edit == "no beta":
-        lines[factor1] = "factor 1 alpha=1"
-    elif edit == "vertex 99":
-        lines[2] = "0 1 99"
-    elif edit == "alpha 0":
-        lines[factor1] = "factor 1 alpha=0 beta=1"
-    elif edit == "last dropped":
-        lines = lines[: max(i for i, ln in enumerate(lines) if ln.startswith("factor"))]
-    elif edit == "relabelled":
-        lines[factor1] = "factor 1 alpha=3 beta=2"
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("edit", [
-    "no q", "header token", "edge token", "edge first", "no beta",
-    "vertex 99", "alpha 0", "last dropped", "relabelled",
-])
-def test_load_rejects_dumps_that_differ_from_the_construction(edit):
-    with pytest.raises(UsageError):
-        load_factorisation(_edit_q5_dump(edit))
-
-
 def test_dump_human_variant_uses_inf():
     fact = build_factorisation(field(2))
     text = dumps_factorisation(fact, human=True)
     assert "inf" in text
-    assert load_factorisation(text) == fact
 
 
 def test_dump_header():
     fact = build_factorisation(field(2, 3))
     first = dumps_factorisation(fact).splitlines()[0]
     assert first == "q=8 p=2 l=3 modulus=1,1,0,1"
-
-
-def test_load_rejects_wrong_modulus():
-    fact = build_factorisation(field(5))
-    text = dumps_factorisation(fact).replace("modulus=0,1", "modulus=1,1")
-    with pytest.raises(ValueError):
-        load_factorisation(text)
-
-
-def test_load_accepts_file_handle():
-    fact = build_factorisation(field(5))
-    fh = io.StringIO(dumps_factorisation(fact))
-    assert load_factorisation(fh) == fact

@@ -29,7 +29,7 @@ from trifactor.groups import (
     generate_subgroup,
     psl_order,
 )
-from trifactor.projline import Mobius, base_map, identity_map, orbit_map
+from trifactor.projline import Mobius, base_map, orbit_map
 from trifactor.verifier import field_for
 
 
@@ -46,7 +46,7 @@ def reference_generate_subgroup(
     cap: int = 250_000,
     stop_when_full: bool = False,
 ) -> ReferenceSubgroup:
-    ident = identity_map(ctx)
+    ident = Mobius(ctx, 1, 0, 0, 1)
     step = list(dict.fromkeys(list(gens) + [g.inverse() for g in gens]))
     seen = {ident}
     frontier = [ident]
@@ -74,7 +74,7 @@ def key(m: Mobius) -> tuple[int, int, int]:
 
 
 def order3_count(ctx, elements) -> int:
-    ident = identity_map(ctx)
+    ident = Mobius(ctx, 1, 0, 0, 1)
     return sum(1 for g in elements if g != ident and g.compose(g).compose(g) == ident)
 
 
