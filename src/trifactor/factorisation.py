@@ -8,18 +8,18 @@ fixed.  So the base factor's orbits are computed once and every other factor
 is its affine image.  Labels (a, b) and (-a, a + b) give the same factor,
 and canonical_label picks the lesser of the two, the first in enumeration
 order; the q(q-1)/2 canonical labels (a in F*, b in F) name the distinct
-factors, and every label is looked up through that one rule.  The build
-computes the q translation rows x -> x + b once, as point lists, and
-scales the base edges once for each a that has a canonical label; each
-factor is then the scaled edges moved by one row.  A factor
+factors, in the order the build makes them.  The build computes the q
+translation rows x -> x + b once, as point lists, and scales the base
+edges once for each a that has a canonical label; each factor is then
+the scaled edges moved by one row.  A factor
 stores its edges flat, as one array('I') of points, three an edge, so a
 factorisation holds C(q+1, 3) edges without one tuple object each.
 verify_partition checks independently that each factor covers every point
 once and that they partition all triples, marking each in one byte array
 indexed by the triple rather than keeping a set of C(q+1, 3) tuples.
 
-PΓL(2,q) permutes the factors, and Factorisation.image gives that action
-from a point permutation with O(1) field operations.
+PΓL(2,q) permutes the factors: Factorisation.image and moves_onto read that
+action from two tables of the factors' own points, built on first use.
 Factorisation.symmetry lists N, the stabiliser of the base factor, directly
 as the products of its torus, x -> 1/x and Frobenius, with its orbits on
 the factors.
@@ -136,49 +136,73 @@ def build_one_factor(ctx: FiniteField, a: int, b: int) -> OneFactor:
 
 
 class Factorisation:
-    """All distinct one-factors, indexed by their canonical labels."""
+    """All distinct one-factors, in the order of their canonical labels."""
 
     def __init__(self, ctx: FiniteField, factors: list[OneFactor]):
         self.ctx = ctx
         self.factors = factors
-        self._index = {f.label: i for i, f in enumerate(factors)}
 
     def __len__(self):
         return len(self.factors)
 
-    def index(self, a: int, b: int) -> int:
-        """Index of the factor that label (a, b) or its twin names."""
-        return self._index[canonical_label(self.ctx, a, b)]
-
-    def factor(self, a: int, b: int) -> OneFactor:
-        return self.factors[self.index(a, b)]
+    @functools.cached_property
+    def _slot(self) -> list[int]:
+        """slot[i n + v], where factor i's edge through point v starts in its
+        points; InvariantError for a factor that is not n distinct points."""
+        n = self.ctx.q + 1
+        starts = [k - k % 3 for k in range(n)]
+        slot: list[int] = []
+        for i, f in enumerate(self.factors):
+            if len(f.points) != n or max(f.points) >= n:
+                raise InvariantError(f"factor {i} is not {n} points of the line")
+            row = [-1] * n
+            any(map(row.__setitem__, f.points, starts))
+            if -1 in row:
+                raise InvariantError(f"factor {i} has no edge through point {row.index(-1)}")
+            slot += row
+        return slot
 
     @functools.cached_property
-    def _partners(self) -> list[tuple[int, int]]:
-        """The other two points of the base edge through each point."""
-        partners = [(0, 0)] * (self.ctx.q + 1)
-        for x, y, z in edges_of(_base_points(self.ctx)):
-            partners[x], partners[y], partners[z] = (y, z), (x, z), (x, y)
-        return partners
+    def _owner(self) -> list[int]:
+        """owner[y n + z], the factor whose edge through infinity is
+        {inf, y, z}; InvariantError unless each such edge has one factor."""
+        q = self.ctx.q
+        n = q + 1
+        owner = [-1] * (n * n)
+        for i, f in enumerate(self.factors):
+            s = self._slot[i * n + q]
+            y, z = (v for v in f.points[s:s + 3] if v != q)
+            if owner[y * n + z] >= 0:
+                raise InvariantError(f"factors {owner[y * n + z]} and {i} share the edge "
+                                     f"{{{y}, {z}, {q}}} through infinity")
+            owner[y * n + z] = owner[z * n + y] = i
+        if len(self.factors) != q * (q - 1) // 2:
+            raise InvariantError(f"{len(self.factors)} factors for {q * (q - 1) // 2} edges")
+        return owner
 
-    def image(self, perm: tuple[int, ...], i: int) -> int:
-        """Index of factor i moved by perm, the point permutation of an
-        element of PΓL(2,q).
+    def image(self, perm: Sequence[int], i: int) -> int:
+        """Index of factor i moved by perm, a point permutation in PΓL(2,q):
+        the owner of perm of the two points beside u = perm^-1(inf) in
+        factor i's edge through u.  No field arithmetic."""
+        n = len(perm)
+        u = perm.index(n - 1)
+        points = self.factors[i].points
+        s = self._slot[i * n + u]
+        x, y, z = points[s], points[s + 1], points[s + 2]
+        if x == u:
+            x = z
+        elif y == u:
+            y = z
+        return self._owner[perm[x] * n + perm[y]]
 
-        Factor (c, d) is the base factor moved by x -> c x + d, so its edge
-        through infinity is {inf, d, c + d}.  The image's edge through
-        infinity is perm of factor i's edge through u = perm^-1(inf); with
-        its other two points y, z the image is the factor (z - y, y).
-        """
-        ctx = self.ctx
-        q = ctx.q
-        a, b = self.factors[i].label
-        u = perm.index(q)
-        w = q if u == q else ctx.div(ctx.sub(u, b), a)  # base point under u
-        v, x = self._partners[w]
-        y = perm[q if v == q else ctx.add(ctx.mul(a, v), b)]
-        z = perm[q if x == q else ctx.add(ctx.mul(a, x), b)]
-        return self.index(ctx.sub(z, y), y)
+    def moves_onto(self, perm: Sequence[int], o: int, x: int) -> bool:
+        """Whether perm moves factor o onto factor x: each of o's n/3 edges
+        lands inside one edge of x, and no edge of x is hit twice."""
+        n = len(perm)
+        row = self._slot[x * n:(x + 1) * n]
+        starts = [row[perm[v]] for v in self.factors[o].points]
+        heads = starts[::3]
+        return heads == starts[1::3] == starts[2::3] and len(set(heads)) * 3 == n == len(starts)
 
     @functools.cached_property
     def symmetry(self) -> "Symmetry":

@@ -22,7 +22,6 @@ from operator import itemgetter
 
 from .factorisation import (
     Factorisation,
-    _moved,
     build_factorisation,
     edges_of,
     require_residue,
@@ -145,7 +144,7 @@ def _sweep(nf: int, k: int, mode: str):
 
 def _to_base(fact: Factorisation):
     """affine(m), the inverse of x -> a x + b of m's label, which moves factor
-    m to the base; moved(m, o), the index of o under it.  Cached per sweep."""
+    m to the base, cached per sweep; Factorisation.image moves the others."""
     ctx = fact.ctx
 
     @functools.cache
@@ -153,11 +152,7 @@ def _to_base(fact: Factorisation):
         a, b = fact.factors[m].label
         return invert([ctx.add(ctx.mul(a, x), b) for x in range(ctx.q)] + [ctx.q])
 
-    @functools.cache
-    def moved(m, o):
-        return fact.image(affine(m), o)
-
-    return affine, moved
+    return affine
 
 
 def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
@@ -190,11 +185,12 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     Stage 1 computes the overlap of the base factor with every other on its
     block map; any value other than 2 refutes uniformity at once.  Stage 2
     confirms that every pairwise union is isomorphic to the reference, the
-    union of factors 0 and 1.  affine(i), then elements[tau[x]] for x =
-    moved(i, j), moves pair (i, j) onto (0, r), r the least of x's N-orbit;
-    the sweep meets (0, r) first and searches one isomorphism there.  That
-    map, then it, must move the pair's union onto the reference's edges,
-    else InvariantError.  UC1F adds connectivity of the reference.
+    union of factors 0 and 1.  affine(i), then elements[tau[x]] for x the
+    image of j under affine(i), moves pair (i, j) onto (0, r), r the least
+    of x's N-orbit; the sweep meets (0, r) first and searches one
+    isomorphism there.  That map, then it, must move the pair's union onto
+    the reference's edges, else InvariantError.  UC1F adds connectivity of
+    the reference.
     """
     q = fact.ctx.q
     n = q + 1
@@ -215,12 +211,12 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     reference = union_hypergraph(n, factors[:2]) if nf >= 2 else None
     if computed and reference is not None:
         reference_edges = sorted(reference.edges)
-        affine, moved = _to_base(fact)
+        affine = _to_base(fact)
         sym = fact.symmetry
         found = {}  # N-orbit representative r -> isomorphism of (0, r), or None
         for i, j in _sweep(nf, 2, "full"):
             iso_tasks += 1
-            x = moved(i, j)
+            x = fact.image(affine(i), j)
             r = sym.rep[x]
             if r not in found:
                 found[r] = find_isomorphism(union_hypergraph(n, [factors[0], factors[r]]),
@@ -255,31 +251,32 @@ def time_budget_seconds(value) -> float:
 def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
     """Yield each triple with "found", "none", "timeout" or "disconnected".
 
-    affine(i) moves triple (i, j, k) onto its base triple, of moved(i, i) = 0,
-    moved(i, j) and moved(i, k), each move replayed once on the moved
-    factor's points.  For each member m of a base triple, affine(m) moves m
-    to the base factor and N, the base's stabiliser, puts the other two in
-    Symmetry.canonical form; the least form is the key, shared by two
-    triples exactly when an element of PΓL(2,q) joins them.  A key's first
-    base triple is checked on its union: connectivity, then a search whose
-    cycle must pass its replay.  A later one takes that status if its union,
-    moved onto the key, has the same edges, else InvariantError.
+    affine(i) moves triple (i, j, k) onto its base triple, the images of i
+    (factor 0), j and k, each factor move replayed once by moves_onto.  For
+    each member m of a base triple, affine(m) moves m to the base factor
+    and N, the base's stabiliser, puts the other two in Symmetry.canonical
+    form; the least form is the key, shared by two triples exactly when an
+    element of PΓL(2,q) joins them.  A key's first base triple is checked
+    on its union: connectivity, then a search whose cycle must pass its
+    replay.  A later one takes that status if its union, moved onto the
+    key, has the same edges, else InvariantError.
     """
     sym = fact.symmetry
-    affine, moved = _to_base(fact)
+    affine = _to_base(fact)
     checked = {}  # key -> (edge codes moved onto the key, status)
 
     @functools.cache
     def replayed(m, o):
-        x = moved(m, o)
-        if _moved(affine(m), fact.factors[o].points) != fact.factors[x].points:
+        x = fact.image(affine(m), o)
+        if not fact.moves_onto(affine(m), o, x):
             raise InvariantError(f"affine({m}) does not move factor {o} onto factor {x}")
         return x
 
     @functools.cache
     def status(base):
-        key, s, tau, m = min(sym.canonical(*sorted(moved(m, o) for o in base if o != m))
-                             + (m,) for m in base)
+        key, s, tau, m = min(sym.canonical(*sorted(fact.image(affine(m), o)
+                                                   for o in base if o != m)) + (m,)
+                             for m in base)
         h = union_hypergraph(fact.ctx.q + 1, [fact.factors[x] for x in base])
         # s∘tau∘(x -> a x + b)^-1 moves base onto its key; bit[v] marks v's image
         g, t_fwd = sym.elements[s], sym.elements[tau]
@@ -299,7 +296,15 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
         return checked[key][1]
 
     for t in triples:
-        yield t, status(tuple(sorted([replayed(t[0], o) for o in t])))
+        i, j, k = t
+        x, y, z = replayed(i, i), replayed(i, j), replayed(i, k)
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        yield t, status((x, y, z))
 
 
 def check_hb1f(

@@ -8,14 +8,17 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from trifactor.factorisation import build_factorisation, verify_partition
+from trifactor.factorisation import build_factorisation, build_one_factor, verify_partition
 from trifactor.field import field
 from trifactor.groups import (
     classify_subgroup,
@@ -94,7 +97,7 @@ def test_criterion_2_connectedness_theorem(factorisations):
                     for a, b in v.witness["pair"]
                 ]
                 h = union_hypergraph(
-                    q + 1, [fact.factor(*lab) for lab in labels]
+                    q + 1, [build_one_factor(ctx, *lab) for lab in labels]
                 )
                 assert not is_connected(h), q
                 if q == 125:
@@ -128,7 +131,7 @@ def test_criterion_4_overlap_values_at_negated_label(factorisations):
         for q, value in expected.items():
             ctx = field_for(q)
             fact = factorisations(q)
-            r = pair_overlap(fact.factors[0], fact.factor(ctx.neg(1), 0))
+            r = pair_overlap(fact.factors[0], build_one_factor(ctx, ctx.neg(1), 0))
             assert r.count == value, q
             squares = {(y * y) % q for y in range(1, q)}
             assert ctx.is_square(5 % q) == (5 % q in squares)
@@ -147,7 +150,7 @@ def test_criterion_5_algebraic_combinatorial_equivalence(factorisations):
                     if (a, b) in {(1, 0), (neg1, 1)}:
                         continue
                     alg = pair_overlap_algebraic(ctx, a, b)
-                    comb = pair_overlap(base, fact.factor(a, b))
+                    comb = pair_overlap(base, build_one_factor(ctx, a, b))
                     assert alg.count == comb.count, (q, a, b)
         for p, l in ((5, 3), (2, 7)):
             ctx = field(p, l)
@@ -162,7 +165,7 @@ def test_criterion_5_algebraic_combinatorial_equivalence(factorisations):
                 if (a, b) in {(1, 0), (neg1, 1)}:
                     continue
                 alg = pair_overlap_algebraic(ctx, a, b)
-                comb = pair_overlap(base, fact.factor(a, b))
+                comb = pair_overlap(base, build_one_factor(ctx, a, b))
                 assert alg.count == comb.count, (ctx.q, a, b)
                 checked += 1
 
@@ -180,7 +183,7 @@ def test_criterion_6_connectivity_transitivity_equivalence(factorisations):
                     if (a, b) in {(1, 0), (neg1, 1)}:
                         continue
                     m = orbit_map(ctx, a, b)
-                    h = union_hypergraph(q + 1, [base, fact.factor(a, b)])
+                    h = union_hypergraph(q + 1, [base, build_one_factor(ctx, a, b)])
                     assert is_connected(h) == is_transitive(ctx, [f, m]), (q, a, b)
 
 
@@ -246,12 +249,10 @@ def test_criterion_9_hamilton_berge_small(factorisations):
             assert v.stats["tasks"] == math.comb(nf, 3), q
 
 
-def test_criterion_9_gf125_subfield_triple(factorisations):
+def test_criterion_9_gf125_subfield_triple():
     with criterion("9b disconnected subfield triple at q=125"):
-        fact = factorisations(125)
-        h = union_hypergraph(
-            126, [fact.factor(1, 0), fact.factor(2, 0), fact.factor(3, 0)]
-        )
+        ctx = field_for(125)
+        h = union_hypergraph(126, [build_one_factor(ctx, a, 0) for a in (1, 2, 3)])
         assert not is_connected(h)
         r = find_hamilton_berge_cycle(h)
         assert r.status == "none"
@@ -298,6 +299,18 @@ def test_criterion_10_suite_determinism():
         goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
         digest = hashlib.sha256(json_text(r1.to_dict()).encode()).hexdigest()
         assert digest == goldens["suite"]["sha256"]
+
+
+def test_suite_json_does_not_depend_on_the_hash_seed():
+    # string hashing changes set and dict order between interpreters; the
+    # report must not, so the CLI's bytes keep the pinned digest under both
+    src = Path(__file__).resolve().parent.parent / "src"
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "trifactor.cli", "suite", "--format", "json"],
+                              env=env, capture_output=True, timeout=300, check=True)
+        assert hashlib.sha256(proc.stdout).hexdigest() == goldens["suite"]["sha256"], seed
 
 
 def test_witnesses_replay_validly(factorisations):

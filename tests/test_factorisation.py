@@ -81,17 +81,24 @@ def test_each_factor_is_a_perfect_matching():
             assert sorted(covered) == list(range(n))
 
 
+def _index(fact):
+    """The factor index that label (a, b) names through its canonical label."""
+    where = {f.label: i for i, f in enumerate(fact.factors)}
+    return lambda a, b: where[canonical_label(fact.ctx, a, b)]
+
+
 def test_every_factor_hit_by_exactly_two_labels(factorisations):
     for q in [2, 5, 8, 11, 125]:
         fact = factorisations(q)
         ctx = fact.ctx
+        index = _index(fact)
         counts = {}
         for a in range(1, ctx.q):
             for b in range(ctx.q):
-                idx = fact.index(a, b)
+                idx = index(a, b)
                 counts[idx] = counts.get(idx, 0) + 1
                 # and the two labels are related by (a, b) -> (-a, a+b)
-                assert fact.index(ctx.neg(a), ctx.add(a, b)) == idx
+                assert index(ctx.neg(a), ctx.add(a, b)) == idx
         assert sorted(counts) == list(range(len(fact)))
         assert set(counts.values()) == {2}
 
@@ -116,12 +123,13 @@ def test_canonical_label_is_the_lesser_twin(q):
 def test_canonical_labels_are_first_in_enumeration_order():
     ctx = field(5)
     fact = build_factorisation(ctx)
-    assert fact.index(1, 0) == 0
+    index = _index(fact)
+    assert index(1, 0) == 0
     assert fact.factors[0].label == (1, 0)
     first = {}
     for a in range(1, 5):
         for b in range(5):
-            idx = fact.index(a, b)
+            idx = index(a, b)
             first.setdefault(idx, (a, b))
             assert canonical_label(ctx, a, b) == first[idx]
             assert fact.factors[idx].label == first[idx]
@@ -152,7 +160,8 @@ def test_affine_images_match_orbit_construction(q):
     edge_lists, labels, by_label = _reference_factorisation(ctx)
     assert [f.edges for f in fact.factors] == edge_lists
     assert [f.label for f in fact.factors] == labels
-    assert {(a, b): fact.index(a, b) for a, b in by_label} == by_label
+    index = _index(fact)
+    assert {(a, b): index(a, b) for a, b in by_label} == by_label
     for a, b in [(1, 0), labels[-1], (ctx.q - 1, ctx.q - 1)]:
         assert build_one_factor(ctx, a, b).edges == edge_lists[by_label[(a, b)]]
 
@@ -176,6 +185,71 @@ def test_image_index_moves_the_edges(q):
         i = rng.randrange(len(fact.factors))
         moved = {tuple(sorted(g[v] for v in e)) for e in fact.factors[i].edges}
         assert set(fact.factors[fact.image(g, i)].edges) == moved
+
+
+@pytest.mark.parametrize("q", [5, 8, 11, 17, 32])
+def test_image_is_the_factor_with_the_moved_edges_for_all_of_n(q):
+    # every element of N on every factor, against the factor whose edge set,
+    # each edge as a bit mask of its points, equals the moved edges
+    fact = build_factorisation(field_for(q))
+    by_edges = {frozenset(1 << x | 1 << y | 1 << z for x, y, z in f.edges): i
+                for i, f in enumerate(fact.factors)}
+    for g in fact.symmetry.elements:
+        for i, f in enumerate(fact.factors):
+            moved = frozenset(1 << g[x] | 1 << g[y] | 1 << g[z] for x, y, z in f.edges)
+            assert fact.image(g, i) == by_edges[moved]
+
+
+def test_the_factor_tables_are_built_on_first_use():
+    fact = build_factorisation(field(5))
+    assert "_slot" not in vars(fact) and "_owner" not in vars(fact)
+    identity = tuple(range(6))
+    assert fact.image(identity, 3) == 3
+    assert "_slot" in vars(fact) and "_owner" in vars(fact)
+    fact = build_factorisation(field(5))
+    assert fact.moves_onto(identity, 3, 3) and not fact.moves_onto(identity, 3, 4)
+    assert "_slot" in vars(fact)
+
+
+# factor 0 of q=5 (0 1 5 | 2 3 4) replaced: the InvariantError its tables raise
+BROKEN_FACTOR_0 = {
+    (0, 1, 4, 2, 3, 4): "factor 0 has no edge through point 5",  # none through inf
+    (0, 0, 5, 2, 3, 4): "factor 0 has no edge through point 1",
+    (0, 1, 5, 2, 3): "factor 0 is not 6 points of the line",
+    (0, 1, 5, 2, 3, 6): "factor 0 is not 6 points of the line",
+    (0, 2, 5, 1, 3, 4): "factors 0 and [0-9]+ share the edge {0, 2, 5} through infinity",
+}
+
+
+@pytest.mark.parametrize("points", list(BROKEN_FACTOR_0))
+def test_image_refuses_factors_it_cannot_read(points):
+    from trifactor.factorisation import OneFactor
+
+    fact = build_factorisation(field(5))
+    fact.factors[0] = OneFactor((1, 0), array("I", points))
+    with pytest.raises(InvariantError, match=BROKEN_FACTOR_0[points]):
+        fact.image(tuple(range(6)), 3)
+
+
+def test_image_refuses_a_factorisation_that_misses_an_edge_through_infinity():
+    from trifactor.factorisation import Factorisation
+
+    fact = build_factorisation(field(5))
+    with pytest.raises(InvariantError, match="9 factors for 10 edges"):
+        Factorisation(fact.ctx, fact.factors[1:]).image(tuple(range(6)), 0)
+
+
+def test_moves_onto_rejects_a_factor_that_repeats_an_edge():
+    # the tables come from the true points; factor 3 then loses its last
+    # edge to a second copy of its first, so two edges land in one block
+    from trifactor.factorisation import OneFactor
+
+    fact = build_factorisation(field(2, 3))
+    identity = tuple(range(9))
+    assert fact.moves_onto(identity, 3, 3)
+    three = fact.factors[3]
+    fact.factors[3] = OneFactor(three.label, three.points[:6] + three.points[:3])
+    assert not fact.moves_onto(identity, 3, 3)
 
 
 @pytest.mark.parametrize("q, orbits", [(5, 3), (11, 6), (17, 9), (29, 15),
@@ -261,6 +335,8 @@ OFF_THE_LINE = {
     (1, 0, 5): ([(1, 0, 5)], []),
     (0, 1): ([], [0]),  # 0 1 2 3 4: reads (0, 1, 2), drops 3 and 4
     (0, 1, 2, 3): ([(3, 2, 3)], [0]),  # 0 1 2 3 2 3 4: drops 4
+    (0, 1, 1): ([(0, 1, 1)], [0]),  # a repeated last point
+    (0, 1, 6): ([(0, 1, 6)], []),  # the point q + 1 = n, one past infinity
 }
 
 
@@ -275,6 +351,16 @@ def test_verify_partition_rejects_edges_off_the_line(bad):
     rep = verify_partition(Factorisation(fact.ctx, broken))
     assert not rep.ok
     assert (rep.malformed, rep.not_one_factors) == OFF_THE_LINE[bad]
+
+
+def test_verify_partition_lists_ten_missing_triples_at_most():
+    # the last four of the 28 factors at q=8 leave 12 triples uncovered
+    from trifactor.factorisation import Factorisation
+
+    fact = build_factorisation(field(2, 3))
+    rep = verify_partition(Factorisation(fact.ctx, fact.factors[:-4]))
+    assert rep.expected_edges - rep.total_edges == 12
+    assert len(rep.missing) == 10
 
 
 def test_verify_partition_finds_factors_that_swapped_an_edge():

@@ -16,6 +16,7 @@ import random
 import pytest
 
 import trifactor.verifier as verifier
+from trifactor.factorisation import canonical_label
 from trifactor.hypergraph import (
     find_hamilton_berge_cycle,
     is_connected,
@@ -89,7 +90,8 @@ def test_sampled_sweep_matches_reference(factorisations, monkeypatch, seed):
 
 def test_q125_subfield_triple_and_images_match_reference(factorisations):
     fact = factorisations(125)
-    subfield = tuple(sorted(fact.index(a, 0) for a in (1, 2, 3)))
+    labels = [f.label for f in fact.factors]
+    subfield = tuple(sorted(labels.index(canonical_label(fact.ctx, a, 0)) for a in (1, 2, 3)))
     rng = random.Random(125)
     connected = tuple(sorted(rng.sample(range(len(fact.factors)), 3)))
     triples = [subfield, connected]

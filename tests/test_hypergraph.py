@@ -4,7 +4,7 @@ from array import array
 
 import pytest
 
-from trifactor.factorisation import build_factorisation, build_one_factor
+from trifactor.factorisation import build_factorisation, build_one_factor, canonical_label
 from trifactor.field import UsageError, field
 from trifactor.hypergraph import (
     BergeSearchResult,
@@ -112,7 +112,7 @@ def test_pair_overlap_at_negated_base_label(q, expected):
     # overlap 1 or 3 depending on whether 5 is a square mod q
     ctx = field(q)
     F = build_factorisation(ctx)
-    r = pair_overlap(F.factors[0], F.factor(ctx.neg(1), 0))
+    r = pair_overlap(F.factors[0], build_one_factor(ctx, ctx.neg(1), 0))
     assert r.count == expected
     squares = {(y * y) % q for y in range(1, q)}
     assert (expected == 3) == (5 % q in squares)
@@ -148,7 +148,7 @@ def test_overlap_algebraic_char2_beta_zero_rows():
         s = ctx.add(ctx.add(ctx.mul(a, a), a), 1)
         expected = 2 * (ctx.trace(ctx.div(a, ctx.mul(s, s))) == 0)
         assert len(r.inverse_solutions) == expected
-        assert r.count == pair_overlap(base, F.factor(a, 0)).count
+        assert r.count == pair_overlap(base, build_one_factor(ctx, a, 0)).count
 
 
 @pytest.mark.parametrize("p,l", [(5, 1), (2, 3), (11, 1), (17, 1)])
@@ -162,7 +162,7 @@ def test_overlap_algebraic_matches_combinatorial_exhaustive(p, l):
             if (a, b) in {(1, 0), (neg1, 1)}:
                 continue
             alg = pair_overlap_algebraic(ctx, a, b)
-            comb = pair_overlap(base, F.factor(a, b))
+            comb = pair_overlap(base, build_one_factor(ctx, a, b))
             assert alg.count == comb.count, (p, l, a, b)
             assert alg.repeated_pairs == comb.repeated_pairs, (p, l, a, b)
 
@@ -174,7 +174,7 @@ def _relabel_onto_base(ctx, F, a1, b1, a2, b2):
     by_edges = {frozenset(f.edges): f for f in F.factors}
     inv_a1 = ctx.inv(a1)
     g = affine_map(ctx, inv_a1, ctx.neg(ctx.mul(inv_a1, b1))).permutation()
-    f1, f2 = F.factor(a1, b1), F.factor(a2, b2)
+    f1, f2 = build_one_factor(ctx, a1, b1), build_one_factor(ctx, a2, b2)
     moved1 = {tuple(sorted(g[v] for v in e)) for e in f1.edges}
     moved2 = frozenset(tuple(sorted(g[v] for v in e)) for e in f2.edges)
     assert moved1 == set(F.factors[0].edges)
@@ -193,7 +193,7 @@ def test_relabelling_reduction_preserves_connectivity():
         for _ in range(200):
             a1, a2 = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
             b1, b2 = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            if F.index(a1, b1) == F.index(a2, b2):
+            if canonical_label(ctx, a1, b1) == canonical_label(ctx, a2, b2):
                 continue
             g, h, h0 = _relabel_onto_base(ctx, F, a1, b1, a2, b2)
             assert apply_isomorphism(h, g) == sorted(h0.edges)
@@ -236,7 +236,7 @@ def test_nonisomorphic_unions_q11():
     ctx = field(11)
     F = build_factorisation(ctx)
     base = F.factors[0]
-    odd_one = F.factor(ctx.neg(1), 0)
+    odd_one = build_one_factor(ctx, ctx.neg(1), 0)
     assert pair_overlap(base, odd_one).count == 3
     normal = next(
         f for f in F.factors[1:] if pair_overlap(base, f).count == 2
@@ -310,3 +310,18 @@ def test_berge_witness_replay_rejects_edge_indices_outside_the_union():
     # -4 names edge 0 again: it would host two pairs and (0, 1, 3) none
     assert not validate_berge_cycle(h, cycle([0, -4, 2, 3]))
     assert not validate_berge_cycle(h, cycle([1, 0, 2, 4]))
+
+
+def test_berge_witness_replay_rejects_a_repeated_edge():
+    # n edge indices, every incidence holding, but edge 0 hosts two pairs
+    h = UnionHypergraph(4, array("I", [0, 1, 2, 0, 1, 3, 1, 2, 3, 0, 2, 3]))
+    assert validate_berge_cycle(h, BergeSearchResult("found", [0, 1, 2, 3], [1, 0, 2, 3]))
+    assert not validate_berge_cycle(h, BergeSearchResult("found", [0, 1, 2, 3], [0, 0, 2, 3]))
+
+
+def test_berge_witness_replay_rejects_a_repeated_vertex():
+    # n vertices and n distinct edges with every incidence holding, but
+    # vertex 1 is visited twice and vertex 5 never
+    h = UnionHypergraph(6, array("I", [0, 1, 5, 1, 2, 5, 2, 3, 5, 3, 4, 5, 0, 1, 4, 0, 1, 2]))
+    bad = BergeSearchResult("found", [0, 1, 2, 3, 4, 1], [0, 1, 2, 3, 4, 5])
+    assert not validate_berge_cycle(h, bad)

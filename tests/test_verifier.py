@@ -4,7 +4,7 @@ from array import array
 
 import pytest
 
-from trifactor.factorisation import OneFactor, build_factorisation
+from trifactor.factorisation import OneFactor, build_factorisation, build_one_factor
 from trifactor.field import InvariantError, UsageError, field
 from trifactor.hypergraph import (
     BergeSearchResult,
@@ -189,6 +189,40 @@ def test_check_hb1f_sampled_deterministic(facts):
         check_hb1f(facts(8), mode="sampled")
 
 
+def test_check_hb1f_sampled_needs_a_seed_and_takes_one_sample(facts):
+    with pytest.raises(UsageError, match="needs samples and seed"):
+        check_hb1f(facts(8), mode="sampled", samples=5)
+    v = check_hb1f(facts(8), mode="sampled", samples=1, seed=4)
+    assert v.computed is True
+    assert (v.stats["tasks"], v.stats["distinct_tasks"]) == (1, 1)
+
+
+def test_run_suite_samples_hb1f_only_at_the_entry_q():
+    cfg = parse_config("qs = 5 8\nhb1f_full_qs =\nhb1f_sampled = 5:10:1\ntrace_scans = 3")
+    report = run_suite(cfg)
+    modes = {e["q"]: [p["stats"]["mode"] for p in e["properties"] if p["name"] == "hb1f"]
+             for e in report.entries}
+    assert modes == {5: ["sampled"], 8: []}
+
+
+def test_run_suite_builds_no_factor_tables_from_q11(monkeypatch):
+    # the tables behind Factorisation.image are built for U1F stage 2 and
+    # HB1F sweeps only, which this config runs at q = 5 and 8
+    import trifactor.verifier as verifier
+
+    real_build = verifier.build_factorisation
+    built = []
+
+    def build(ctx):
+        built.append(real_build(ctx))
+        return built[-1]
+
+    monkeypatch.setattr(verifier, "build_factorisation", build)
+    run_suite(SuiteConfig(qs=(5, 8, 11, 17), hb1f_full_qs=(5, 8), trace_scan_degrees=(3,)))
+    assert {f.ctx.q: "_slot" in vars(f) for f in built} == {
+        5: True, 8: True, 11: False, 17: False}
+
+
 def test_check_hb1f_takes_samples_and_seed_only_in_sampled_mode(facts):
     for mode in ("reduced", "full"):
         for extra in ({"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}):
@@ -264,19 +298,35 @@ def test_check_hb1f_tampered_union_is_an_internal_fault(facts, tamper_union):
         check_hb1f(facts(8), mode="full")
 
 
-def test_check_hb1f_tampered_factor_fails_its_move():
-    # factor 1 with a point traded between its first two edges, each edge and
-    # the edge list sorted again: still a 1-factor, but not its label's orbits.
-    # A triple led by it takes no status before affine(1) replays on it.
-    import trifactor.verifier as verifier
-
-    fact = build_factorisation(field(2, 3))
+def _tamper_factor_1(fact):
+    """Factor 1 with a point traded between its first two edges, each edge
+    and the edge list sorted again: still a 1-factor, but not its label's
+    orbits."""
     one = fact.factors[1]
     x, y, z, u, v, w = one.points[:6]
     edges = sorted([tuple(sorted((x, y, w))), tuple(sorted((u, v, z))), *one.edges[2:]])
     fact.factors[1] = OneFactor(one.label, array("I", itertools.chain(*edges)))
+
+
+def test_check_hb1f_tampered_factor_fails_its_move():
+    # N and the factor tables are read from the true points first; a triple
+    # led by the tampered factor takes no status before affine(1) replays on it
+    import trifactor.verifier as verifier
+
+    fact = build_factorisation(field(2, 3))
+    fact.symmetry
+    _tamper_factor_1(fact)
     with pytest.raises(InvariantError, match="affine\\(1\\) does not move factor 1 onto"):
         list(verifier._hb1f_check_triples(fact, [(1, 2, 3)], 10.0))
+
+
+def test_check_hb1f_tampered_before_the_tables_fails_n():
+    # tables read from the tampered points make image no longer an action of
+    # N: the orbits of N miscount the factors
+    fact = build_factorisation(field(2, 3))
+    _tamper_factor_1(fact)
+    with pytest.raises(InvariantError, match="N-orbits cover 37 of 28 factors"):
+        check_hb1f(fact, mode="full")
 
 
 @pytest.mark.parametrize("status", ["timeout", "none"])
@@ -371,12 +421,12 @@ def test_gf125_overlap_4_lemma(facts):
     # meets the base factor in 4 edges; both overlap paths must say so
     fact = facts(125)
     ctx = fact.ctx
-    base = fact.factor(1, 0)
+    base = fact.factors[0]
     for a in range(5, ctx.q):
         a2 = ctx.mul(a, a)
         counts = []
         for la, lb in [(a, ctx.neg(a)), (a, ctx.sub(1, a)), (a2, ctx.sub(1, a2))]:
-            comb = pair_overlap(base, fact.factor(la, lb)).count
+            comb = pair_overlap(base, build_one_factor(ctx, la, lb)).count
             assert pair_overlap_algebraic(ctx, la, lb).count == comb, (a, la, lb)
             counts.append(comb)
         assert 4 in counts, a
