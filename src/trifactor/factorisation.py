@@ -18,8 +18,10 @@ verify_partition checks independently that each factor covers every point
 once and that they partition all triples, marking each in one byte array
 indexed by the triple rather than keeping a set of C(q+1, 3) tuples.
 
-PΓL(2,q) permutes the factors: Factorisation.image and moves_onto read that
-action from two tables of the factors' own points, built on first use.
+PΓL(2,q) permutes the factors, and they partition the triples, so the
+factor that holds a moved edge is the moved factor: Factorisation.image
+reads that action from one table, the owner of each triple by colex rank,
+built on first use from the factors' own points.
 Factorisation.symmetry lists N, the stabiliser of the base factor, directly
 as the products of its torus, x -> 1/x and Frobenius, with its orbits on
 the factors.
@@ -116,6 +118,15 @@ def _moved(img: Sequence[int], points: Iterable[int]) -> array:
     return array("I", chain.from_iterable(sorted(edges)))
 
 
+@functools.cache
+def _colex(n: int) -> Callable[[int, int, int], int]:
+    """rank(a, b, c) = C(c, 3) + C(b, 2) + a, the colex rank of a triple
+    0 <= a < b < c < n: its index among the C(n, 3) triples."""
+    high = [math.comb(c, 3) for c in range(n)]
+    mid = [math.comb(b, 2) for b in range(n)]
+    return lambda a, b, c: high[c] + mid[b] + a
+
+
 def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
     """x -> op(c, x), ctx.mul or ctx.add, as a point list; infinity is fixed."""
     return [op(c, x) for x in range(ctx.q)] + [ctx.q]
@@ -142,67 +153,41 @@ class Factorisation:
         self.ctx = ctx
         self.factors = factors
 
-    def __len__(self):
-        return len(self.factors)
-
-    @functools.cached_property
-    def _slot(self) -> list[int]:
-        """slot[i n + v], where factor i's edge through point v starts in its
-        points; InvariantError for a factor that is not n distinct points."""
-        n = self.ctx.q + 1
-        starts = [k - k % 3 for k in range(n)]
-        slot: list[int] = []
-        for i, f in enumerate(self.factors):
-            if len(f.points) != n or max(f.points) >= n:
-                raise InvariantError(f"factor {i} is not {n} points of the line")
-            row = [-1] * n
-            any(map(row.__setitem__, f.points, starts))
-            if -1 in row:
-                raise InvariantError(f"factor {i} has no edge through point {row.index(-1)}")
-            slot += row
-        return slot
-
     @functools.cached_property
     def _owner(self) -> list[int]:
-        """owner[y n + z], the factor whose edge through infinity is
-        {inf, y, z}; InvariantError unless each such edge has one factor."""
+        """owner[k], the factor that holds the triple of colex rank k.
+
+        InvariantError unless there are q(q-1)/2 factors, each n distinct
+        points, each edge a < b < c < n, and no triple held twice: then the
+        C(n, 3) triples have one owner each.
+        """
         q = self.ctx.q
         n = q + 1
-        owner = [-1] * (n * n)
-        for i, f in enumerate(self.factors):
-            s = self._slot[i * n + q]
-            y, z = (v for v in f.points[s:s + 3] if v != q)
-            if owner[y * n + z] >= 0:
-                raise InvariantError(f"factors {owner[y * n + z]} and {i} share the edge "
-                                     f"{{{y}, {z}, {q}}} through infinity")
-            owner[y * n + z] = owner[z * n + y] = i
         if len(self.factors) != q * (q - 1) // 2:
-            raise InvariantError(f"{len(self.factors)} factors for {q * (q - 1) // 2} edges")
+            raise InvariantError(f"{len(self.factors)} factors, not q(q-1)/2 = "
+                                 f"{q * (q - 1) // 2}")
+        rank = _colex(n)
+        owner = [-1] * math.comb(n, 3)
+        for i, f in enumerate(self.factors):
+            if len(f.points) != n or len(set(f.points)) != n:
+                raise InvariantError(f"factor {i} is not {n} distinct points")
+            for a, b, c in edges_of(f.points):
+                if not 0 <= a < b < c < n:
+                    raise InvariantError(f"factor {i} has the edge {(a, b, c)}, "
+                                         f"not a < b < c < {n}")
+                k = rank(a, b, c)
+                if owner[k] >= 0:
+                    raise InvariantError(f"factors {owner[k]} and {i} both hold the "
+                                         f"triple {(a, b, c)}")
+                owner[k] = i
         return owner
 
     def image(self, perm: Sequence[int], i: int) -> int:
         """Index of factor i moved by perm, a point permutation in PΓL(2,q):
-        the owner of perm of the two points beside u = perm^-1(inf) in
-        factor i's edge through u.  No field arithmetic."""
-        n = len(perm)
-        u = perm.index(n - 1)
-        points = self.factors[i].points
-        s = self._slot[i * n + u]
-        x, y, z = points[s], points[s + 1], points[s + 2]
-        if x == u:
-            x = z
-        elif y == u:
-            y = z
-        return self._owner[perm[x] * n + perm[y]]
-
-    def moves_onto(self, perm: Sequence[int], o: int, x: int) -> bool:
-        """Whether perm moves factor o onto factor x: each of o's n/3 edges
-        lands inside one edge of x, and no edge of x is hit twice."""
-        n = len(perm)
-        row = self._slot[x * n:(x + 1) * n]
-        starts = [row[perm[v]] for v in self.factors[o].points]
-        heads = starts[::3]
-        return heads == starts[1::3] == starts[2::3] and len(set(heads)) * 3 == n == len(starts)
+        the owner of perm of factor i's first edge.  No field arithmetic."""
+        p = self.factors[i].points
+        a, b, c = sorted((perm[p[0]], perm[p[1]], perm[p[2]]))
+        return self._owner[_colex(len(perm))(a, b, c)]
 
     @functools.cached_property
     def symmetry(self) -> "Symmetry":
@@ -348,13 +333,12 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     not a multiple of 3 drops the last one or two, which that check has
     already reported.  An edge that is not three points 0 <= a < b < c <= q
     of the line is reported as malformed, so it cannot stand in for a
-    missing triple.  Triple (a, b, c) is byte C(c, 3) + C(b, 2) + a, its
-    colex rank, of one C(n, 3) array; other edges cover a new triple each.
+    missing triple.  Triple (a, b, c) is the byte at its colex rank of one
+    C(n, 3) array; other edges cover a new triple each.
     """
     n = fact.ctx.q + 1
     expected = math.comb(n, 3)
-    high = [math.comb(c, 3) for c in range(n)]
-    mid = [math.comb(b, 2) for b in range(n)]
+    rank = _colex(n)
     seen = bytearray(expected)
     duplicates = []
     malformed = []
@@ -367,7 +351,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
         total += len(points) // 3
         for a, b, c in edges_of(points):
             if 0 <= a < b < c < n:
-                k = high[c] + mid[b] + a
+                k = rank(a, b, c)
                 if seen[k]:
                     duplicates.append((a, b, c))
                 seen[k] = 1
@@ -376,7 +360,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     missing = []
     if total - len(duplicates) - len(malformed) != expected:
         for e in combinations(range(n), 3):
-            if not seen[high[e[2]] + mid[e[1]] + e[0]]:
+            if not seen[rank(*e)]:
                 missing.append(e)
                 if len(missing) >= 10:
                     break

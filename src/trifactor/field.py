@@ -376,9 +376,6 @@ class FiniteField:
 
     # -- encodings ----------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector, lowest degree first."""
         return tuple(_digits(a, self.p, self.l))

@@ -22,6 +22,7 @@ from operator import itemgetter
 
 from .factorisation import (
     Factorisation,
+    _moved,
     build_factorisation,
     edges_of,
     require_residue,
@@ -252,14 +253,16 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
     """Yield each triple with "found", "none", "timeout" or "disconnected".
 
     affine(i) moves triple (i, j, k) onto its base triple, the images of i
-    (factor 0), j and k, each factor move replayed once by moves_onto.  For
-    each member m of a base triple, affine(m) moves m to the base factor
-    and N, the base's stabiliser, puts the other two in Symmetry.canonical
-    form; the least form is the key, shared by two triples exactly when an
-    element of PΓL(2,q) joins them.  A key's first base triple is checked
-    on its union: connectivity, then a search whose cycle must pass its
-    replay.  A later one takes that status if its union, moved onto the
-    key, has the same edges, else InvariantError.
+    (factor 0), j and k.  Each factor move is replayed once: factor o's
+    points moved by affine(m) must be its image's points, as Symmetry checks
+    N's generators on the base factor.  For each member m of a base triple,
+    affine(m) moves m to the base factor and N, the base's stabiliser, puts
+    the other two in Symmetry.canonical form; the least form is the key,
+    shared by two triples exactly when an element of PΓL(2,q) joins them.
+    A key's first base triple is checked on its union: connectivity, then
+    a search whose cycle must pass its replay.  A later one takes that
+    status if its union, moved onto the key, has the same edges, else
+    InvariantError.
     """
     sym = fact.symmetry
     affine = _to_base(fact)
@@ -268,7 +271,7 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
     @functools.cache
     def replayed(m, o):
         x = fact.image(affine(m), o)
-        if not fact.moves_onto(affine(m), o, x):
+        if _moved(affine(m), fact.factors[o].points) != fact.factors[x].points:
             raise InvariantError(f"affine({m}) does not move factor {o} onto factor {x}")
         return x
 

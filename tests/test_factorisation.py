@@ -12,6 +12,7 @@ import pytest
 import trifactor
 import trifactor.factorisation as factorisation
 from trifactor.factorisation import (
+    _colex,
     build_factorisation,
     build_one_factor,
     canonical_label,
@@ -64,10 +65,10 @@ def test_bad_residue_rejected():
 
 
 def test_factor_counts():
-    assert len(build_factorisation(field(2))) == 1
-    assert len(build_factorisation(field(5))) == 10
-    assert len(build_factorisation(field(2, 3))) == 28
-    assert len(build_factorisation(field(11))) == 55
+    assert len(build_factorisation(field(2)).factors) == 1
+    assert len(build_factorisation(field(5)).factors) == 10
+    assert len(build_factorisation(field(2, 3)).factors) == 28
+    assert len(build_factorisation(field(11)).factors) == 55
 
 
 def test_each_factor_is_a_perfect_matching():
@@ -99,7 +100,7 @@ def test_every_factor_hit_by_exactly_two_labels(factorisations):
                 counts[idx] = counts.get(idx, 0) + 1
                 # and the two labels are related by (a, b) -> (-a, a+b)
                 assert index(ctx.neg(a), ctx.add(a, b)) == idx
-        assert sorted(counts) == list(range(len(fact)))
+        assert sorted(counts) == list(range(len(fact.factors)))
         assert set(counts.values()) == {2}
 
 
@@ -133,7 +134,7 @@ def test_canonical_labels_are_first_in_enumeration_order():
             first.setdefault(idx, (a, b))
             assert canonical_label(ctx, a, b) == first[idx]
             assert fact.factors[idx].label == first[idx]
-    assert list(first) == list(range(len(fact)))
+    assert list(first) == list(range(len(fact.factors)))
 
 
 def _reference_factorisation(ctx):
@@ -200,24 +201,30 @@ def test_image_is_the_factor_with_the_moved_edges_for_all_of_n(q):
             assert fact.image(g, i) == by_edges[moved]
 
 
-def test_the_factor_tables_are_built_on_first_use():
+def test_the_owner_table_is_built_on_first_use():
     fact = build_factorisation(field(5))
-    assert "_slot" not in vars(fact) and "_owner" not in vars(fact)
-    identity = tuple(range(6))
-    assert fact.image(identity, 3) == 3
-    assert "_slot" in vars(fact) and "_owner" in vars(fact)
-    fact = build_factorisation(field(5))
-    assert fact.moves_onto(identity, 3, 3) and not fact.moves_onto(identity, 3, 4)
-    assert "_slot" in vars(fact)
+    assert "_owner" not in vars(fact)
+    assert fact.image(tuple(range(6)), 3) == 3
+    assert "_owner" in vars(fact)
 
 
-# factor 0 of q=5 (0 1 5 | 2 3 4) replaced: the InvariantError its tables raise
+@pytest.mark.parametrize("q", [5, 8, 11, 32])
+def test_every_triple_has_one_owner_that_holds_it(q):
+    fact = build_factorisation(field_for(q))
+    owner = fact._owner
+    assert len(owner) == math.comb(q + 1, 3) and -1 not in owner
+    rank = _colex(q + 1)
+    for i, f in enumerate(fact.factors):
+        assert all(owner[rank(*e)] == i for e in f.edges)
+
+
+# factor 0 of q=5 (0 1 5 | 2 3 4) replaced: the InvariantError its table raises
 BROKEN_FACTOR_0 = {
-    (0, 1, 4, 2, 3, 4): "factor 0 has no edge through point 5",  # none through inf
-    (0, 0, 5, 2, 3, 4): "factor 0 has no edge through point 1",
-    (0, 1, 5, 2, 3): "factor 0 is not 6 points of the line",
-    (0, 1, 5, 2, 3, 6): "factor 0 is not 6 points of the line",
-    (0, 2, 5, 1, 3, 4): "factors 0 and [0-9]+ share the edge {0, 2, 5} through infinity",
+    (0, 1, 4, 2, 3, 4): "factor 0 is not 6 distinct points",  # none through inf
+    (0, 0, 5, 2, 3, 4): "factor 0 is not 6 distinct points",
+    (0, 1, 5, 2, 3): "factor 0 is not 6 distinct points",
+    (0, 1, 5, 2, 3, 6): "factor 0 has the edge \\(2, 3, 6\\), not a < b < c < 6",
+    (0, 2, 5, 1, 3, 4): "factors 0 and [0-9]+ both hold the triple \\(0, 2, 5\\)",
 }
 
 
@@ -235,21 +242,28 @@ def test_image_refuses_a_factorisation_that_misses_an_edge_through_infinity():
     from trifactor.factorisation import Factorisation
 
     fact = build_factorisation(field(5))
-    with pytest.raises(InvariantError, match="9 factors for 10 edges"):
+    with pytest.raises(InvariantError, match="9 factors, not q\\(q-1\\)/2 = 10"):
         Factorisation(fact.ctx, fact.factors[1:]).image(tuple(range(6)), 0)
 
 
-def test_moves_onto_rejects_a_factor_that_repeats_an_edge():
-    # the tables come from the true points; factor 3 then loses its last
-    # edge to a second copy of its first, so two edges land in one block
+def test_a_factor_that_repeats_an_edge_is_refused():
+    # factor 3 loses its last edge to a second copy of its first: the table
+    # refuses it, and once the table is read from the true points, so does
+    # the HB1F replay of any move of it
     from trifactor.factorisation import OneFactor
+    from trifactor.verifier import _hb1f_check_triples
 
     fact = build_factorisation(field(2, 3))
-    identity = tuple(range(9))
-    assert fact.moves_onto(identity, 3, 3)
     three = fact.factors[3]
-    fact.factors[3] = OneFactor(three.label, three.points[:6] + three.points[:3])
-    assert not fact.moves_onto(identity, 3, 3)
+    repeated = OneFactor(three.label, three.points[:6] + three.points[:3])
+    fact.factors[3] = repeated
+    with pytest.raises(InvariantError, match="factor 3 is not 9 distinct points"):
+        fact.image(tuple(range(9)), 3)
+    fact = build_factorisation(field(2, 3))
+    fact.symmetry
+    fact.factors[3] = repeated
+    with pytest.raises(InvariantError, match="affine\\(3\\) does not move factor 3 onto"):
+        list(_hb1f_check_triples(fact, [(3, 4, 5)], 10.0))
 
 
 @pytest.mark.parametrize("q, orbits", [(5, 3), (11, 6), (17, 9), (29, 15),

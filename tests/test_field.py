@@ -89,7 +89,7 @@ def test_field_axioms_random():
 def test_fermat_exhaustive():
     for p, l in [(2, 1), (5, 1), (2, 3), (11, 1), (2, 5), (5, 3)]:
         ctx = field(p, l)
-        for x in ctx.elements():
+        for x in range(ctx.q):
             assert ctx.pow(x, ctx.q) == x
 
 
@@ -135,8 +135,8 @@ def _orbit_trace(ctx, a):
 def test_trace_is_the_frobenius_orbit_sum_on_every_element(p, l):
     # trace is linear, so the linearity tests below cannot check it; this can
     ctx = field(p, l)
-    assert ([ctx.trace(a) for a in ctx.elements()]
-            == [_orbit_trace(ctx, a) for a in ctx.elements()])
+    assert ([ctx.trace(a) for a in range(ctx.q)]
+            == [_orbit_trace(ctx, a) for a in range(ctx.q)])
 
 
 def test_trace_refuses_basis_traces_outside_the_prime_subfield(monkeypatch):
@@ -159,20 +159,20 @@ def test_trace_additive_and_frobenius_invariant():
 def test_trace_onto_prime_subfield():
     for p, l in [(2, 3), (2, 5), (5, 3), (11, 1)]:
         ctx = field(p, l)
-        assert {ctx.trace(x) for x in ctx.elements()} == set(range(p))
+        assert {ctx.trace(x) for x in range(ctx.q)} == set(range(p))
 
 
 def test_char2_trace_kernel_has_half_the_field():
     for l in [3, 5, 7]:
         ctx = field(2, l)
-        kernel = [x for x in ctx.elements() if ctx.trace(x) == 0]
+        kernel = [x for x in range(ctx.q) if ctx.trace(x) == 0]
         assert len(kernel) == ctx.q // 2
 
 
 def test_frobenius_iterates_to_identity():
     for p, l in [(2, 3), (5, 3)]:
         ctx = field(p, l)
-        for x in ctx.elements():
+        for x in range(ctx.q):
             y = x
             for _ in range(l):
                 y = ctx.frobenius(y)
@@ -195,8 +195,8 @@ def test_is_square_examples():
 def test_is_square_matches_exhaustive_and_is_multiplicative():
     for p, l in [(11, 1), (17, 1), (5, 3)]:
         ctx = field(p, l)
-        squares = {ctx.mul(y, y) for y in ctx.elements()}
-        for x in ctx.elements():
+        squares = {ctx.mul(y, y) for y in range(ctx.q)}
+        for x in range(ctx.q):
             assert ctx.is_square(x) == (x in squares)
         rng = random.Random(p)
         for _ in range(300):
@@ -220,8 +220,8 @@ def test_sqrt_exhaustive():
     for p, l in [(2, 3), (11, 1), (13, 1), (5, 3), (2, 4), (17, 1), (7, 2),
                  (41, 1), (3, 2)]:
         ctx = field(p, l)
-        for x in ctx.elements():
-            roots = [y for y in ctx.elements() if ctx.mul(y, y) == x]
+        for x in range(ctx.q):
+            roots = [y for y in range(ctx.q) if ctx.mul(y, y) == x]
             got = ctx.sqrt(x)
             assert ctx.is_square(x) == bool(roots)
             if roots:
@@ -233,7 +233,7 @@ def test_sqrt_exhaustive():
 def brute_roots(ctx, a, b, c):
     return {
         x
-        for x in ctx.elements()
+        for x in range(ctx.q)
         if ctx.add(ctx.add(ctx.mul(a, ctx.mul(x, x)), ctx.mul(b, x)), c) == 0
     }
 
@@ -327,9 +327,9 @@ def digit_add(ctx, a, b, sign=1):
 @pytest.mark.parametrize("p, l", [(3, 2), (5, 2), (5, 3), (7, 2), (3, 5), (17, 2)])
 def test_zech_addition_matches_digits_exhaustively(p, l):
     ctx = field(p, l)
-    for a in ctx.elements():
+    for a in range(ctx.q):
         assert ctx.neg(a) == digit_add(ctx, 0, a, -1)
-        for b in ctx.elements():
+        for b in range(ctx.q):
             assert ctx.add(a, b) == digit_add(ctx, a, b)
             assert ctx.sub(a, b) == digit_add(ctx, a, b, -1)
 
@@ -353,10 +353,10 @@ def test_arithmetic_digest_is_pinned():
     h = hashlib.sha256()
     for p, l in [(5, 3), (7, 2), (2, 5)]:
         ctx = field(p, l)
-        for a in ctx.elements():
+        for a in range(ctx.q):
             if a:
                 h.update(ctx.inv(a).to_bytes(2, "big"))
-            for b in ctx.elements():
+            for b in range(ctx.q):
                 for v in (ctx.add(a, b), ctx.sub(a, b), ctx.mul(a, b)):
                     h.update(v.to_bytes(2, "big"))
     assert h.hexdigest() == ("a2362b302d256fc6eb5b8b3269a04bfb"

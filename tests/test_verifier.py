@@ -206,8 +206,8 @@ def test_run_suite_samples_hb1f_only_at_the_entry_q():
 
 
 def test_run_suite_builds_no_factor_tables_from_q11(monkeypatch):
-    # the tables behind Factorisation.image are built for U1F stage 2 and
-    # HB1F sweeps only, which this config runs at q = 5 and 8
+    # the owner table behind Factorisation.image is built for U1F stage 2
+    # and HB1F sweeps only, which this config runs at q = 5 and 8
     import trifactor.verifier as verifier
 
     real_build = verifier.build_factorisation
@@ -219,7 +219,7 @@ def test_run_suite_builds_no_factor_tables_from_q11(monkeypatch):
 
     monkeypatch.setattr(verifier, "build_factorisation", build)
     run_suite(SuiteConfig(qs=(5, 8, 11, 17), hb1f_full_qs=(5, 8), trace_scan_degrees=(3,)))
-    assert {f.ctx.q: "_slot" in vars(f) for f in built} == {
+    assert {f.ctx.q: "_owner" in vars(f) for f in built} == {
         5: True, 8: True, 11: False, 17: False}
 
 
@@ -309,7 +309,7 @@ def _tamper_factor_1(fact):
 
 
 def test_check_hb1f_tampered_factor_fails_its_move():
-    # N and the factor tables are read from the true points first; a triple
+    # N and the owner table are read from the true points first; a triple
     # led by the tampered factor takes no status before affine(1) replays on it
     import trifactor.verifier as verifier
 
@@ -320,12 +320,12 @@ def test_check_hb1f_tampered_factor_fails_its_move():
         list(verifier._hb1f_check_triples(fact, [(1, 2, 3)], 10.0))
 
 
-def test_check_hb1f_tampered_before_the_tables_fails_n():
-    # tables read from the tampered points make image no longer an action of
-    # N: the orbits of N miscount the factors
+def test_check_hb1f_tampered_before_the_table_fails_its_build():
+    # the two traded-into triples belong to other factors, so the owner
+    # table, read from the tampered points, finds each held twice
     fact = build_factorisation(field(2, 3))
     _tamper_factor_1(fact)
-    with pytest.raises(InvariantError, match="N-orbits cover 37 of 28 factors"):
+    with pytest.raises(InvariantError, match="factors [0-9]+ and [0-9]+ both hold the triple"):
         check_hb1f(fact, mode="full")
 
 
