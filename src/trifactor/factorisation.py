@@ -152,6 +152,7 @@ class Factorisation:
     def __init__(self, ctx: FiniteField, factors: list[OneFactor]):
         self.ctx = ctx
         self.factors = factors
+        self._rank = _colex(ctx.q + 1)
 
     @functools.cached_property
     def _owner(self) -> list[int]:
@@ -166,7 +167,7 @@ class Factorisation:
         if len(self.factors) != q * (q - 1) // 2:
             raise InvariantError(f"{len(self.factors)} factors, not q(q-1)/2 = "
                                  f"{q * (q - 1) // 2}")
-        rank = _colex(n)
+        rank = self._rank
         owner = [-1] * math.comb(n, 3)
         for i, f in enumerate(self.factors):
             if len(f.points) != n or len(set(f.points)) != n:
@@ -184,10 +185,17 @@ class Factorisation:
 
     def image(self, perm: Sequence[int], i: int) -> int:
         """Index of factor i moved by perm, a point permutation in PΓL(2,q):
-        the owner of perm of factor i's first edge.  No field arithmetic."""
+        the owner of factor i's first edge moved by perm, as PΓL(2,q)
+        permutes the factors.  No field arithmetic."""
         p = self.factors[i].points
-        a, b, c = sorted((perm[p[0]], perm[p[1]], perm[p[2]]))
-        return self._owner[_colex(len(perm))(a, b, c)]
+        x, y, z = perm[p[0]], perm[p[1]], perm[p[2]]
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        return self._owner[self._rank(x, y, z)]
 
     @functools.cached_property
     def symmetry(self) -> "Symmetry":
