@@ -118,7 +118,6 @@ def _moved(img: Sequence[int], points: Iterable[int]) -> array:
     return array("I", chain.from_iterable(sorted(edges)))
 
 
-@functools.cache
 def _colex(n: int) -> Callable[[int, int, int], int]:
     """rank(a, b, c) = C(c, 3) + C(b, 2) + a, the colex rank of a triple
     0 <= a < b < c < n: its index among the C(n, 3) triples."""
