@@ -52,10 +52,12 @@ def module_path(target: str) -> Path:
 
 
 def find_function(tree: ast.Module, qualname: str) -> ast.AST:
-    node: ast.AST = tree
+    node: ast.AST | None = tree
     for name in qualname.split("."):
-        node = next(n for n in ast.iter_child_nodes(node)
-                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+        node = next((n for n in ast.iter_child_nodes(node)
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name), None)
+        if node is None:
+            raise SystemExit(f"no function or class {qualname!r}")
     return node
 
 
@@ -158,26 +160,27 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     root = Path(tempfile.mkdtemp(prefix="mutate-", dir=args.work))
     control = {module_path(t): mutated_source(t, None) for t in args.targets}
-    verdict = run_tests(root / "control", control, pytest_args, args.timeout)
-    print(f"control: {verdict}", flush=True)
-    if verdict != "survived":
-        return 1
 
     def one(item):
-        n, (target, k, line, text) = item
+        n, (target, k, _, _) = item
         files = dict(control)
         files[module_path(target)] = mutated_source(target, k)
         return item[1], run_tests(root / f"m{n}", files, pytest_args, args.timeout)
 
-    counts: dict[str, int] = {}
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        for (target, k, line, text), verdict in pool.map(one, enumerate(todo)):
-            counts[verdict] = counts.get(verdict, 0) + 1
-            print(f"{verdict:8} {target} #{k} line {line}: {text}", flush=True)
-    shutil.rmtree(root, ignore_errors=True)
+    try:
+        verdict = run_tests(root / "control", control, pytest_args, args.timeout)
+        print(f"control: {verdict}", flush=True)
+        if verdict != "survived":
+            return 1
+        counts: dict[str, int] = {}
+        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+            for (target, k, line, text), verdict in pool.map(one, enumerate(todo)):
+                counts[verdict] = counts.get(verdict, 0) + 1
+                print(f"{verdict:8} {target} #{k} line {line}: {text}", flush=True)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
     print(", ".join(f"{n} {v}" for v, n in sorted(counts.items())))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
