@@ -118,12 +118,11 @@ def _moved(img: Sequence[int], points: Iterable[int]) -> array:
     return array("I", chain.from_iterable(sorted(edges)))
 
 
-def _colex(n: int) -> Callable[[int, int, int], int]:
-    """rank(a, b, c) = C(c, 3) + C(b, 2) + a, the colex rank of a triple
-    0 <= a < b < c < n: its index among the C(n, 3) triples."""
-    high = [math.comb(c, 3) for c in range(n)]
-    mid = [math.comb(b, 2) for b in range(n)]
-    return lambda a, b, c: high[c] + mid[b] + a
+def _colex(n: int) -> tuple[list[int], list[int]]:
+    """high, mid: the colex rank of a triple 0 <= a < b < c < n, its index
+    among the C(n, 3) triples, is high[c] + mid[b] + a, that is
+    C(c, 3) + C(b, 2) + a."""
+    return [math.comb(c, 3) for c in range(n)], [math.comb(b, 2) for b in range(n)]
 
 
 def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
@@ -151,7 +150,7 @@ class Factorisation:
     def __init__(self, ctx: FiniteField, factors: list[OneFactor]):
         self.ctx = ctx
         self.factors = factors
-        self._rank = _colex(ctx.q + 1)
+        self._high, self._mid = _colex(ctx.q + 1)
 
     @functools.cached_property
     def _owner(self) -> list[int]:
@@ -166,7 +165,7 @@ class Factorisation:
         if len(self.factors) != q * (q - 1) // 2:
             raise InvariantError(f"{len(self.factors)} factors, not q(q-1)/2 = "
                                  f"{q * (q - 1) // 2}")
-        rank = self._rank
+        high, mid = self._high, self._mid
         owner = [-1] * math.comb(n, 3)
         for i, f in enumerate(self.factors):
             if len(f.points) != n or len(set(f.points)) != n:
@@ -175,7 +174,7 @@ class Factorisation:
                 if not 0 <= a < b < c < n:
                     raise InvariantError(f"factor {i} has the edge {(a, b, c)}, "
                                          f"not a < b < c < {n}")
-                k = rank(a, b, c)
+                k = high[c] + mid[b] + a
                 if owner[k] >= 0:
                     raise InvariantError(f"factors {owner[k]} and {i} both hold the "
                                          f"triple {(a, b, c)}")
@@ -194,7 +193,7 @@ class Factorisation:
             y, z = z, y
             if x > y:
                 x, y = y, x
-        return self._owner[self._rank(x, y, z)]
+        return self._owner[self._high[z] + self._mid[y] + x]
 
     @functools.cached_property
     def symmetry(self) -> "Symmetry":
@@ -345,7 +344,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     """
     n = fact.ctx.q + 1
     expected = math.comb(n, 3)
-    rank = _colex(n)
+    high, mid = _colex(n)
     seen = bytearray(expected)
     duplicates = []
     malformed = []
@@ -358,7 +357,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
         total += len(points) // 3
         for a, b, c in edges_of(points):
             if 0 <= a < b < c < n:
-                k = rank(a, b, c)
+                k = high[c] + mid[b] + a
                 if seen[k]:
                     duplicates.append((a, b, c))
                 seen[k] = 1
@@ -367,7 +366,7 @@ def verify_partition(fact: Factorisation) -> PartitionReport:
     missing = []
     if total - len(duplicates) - len(malformed) != expected:
         for e in combinations(range(n), 3):
-            if not seen[rank(*e)]:
+            if not seen[high[e[2]] + mid[e[1]] + e[0]]:
                 missing.append(e)
                 if len(missing) >= 10:
                     break

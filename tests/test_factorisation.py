@@ -213,9 +213,9 @@ def test_every_triple_has_one_owner_that_holds_it(q):
     fact = build_factorisation(field_for(q))
     owner = fact._owner
     assert len(owner) == math.comb(q + 1, 3) and -1 not in owner
-    rank = _colex(q + 1)
+    high, mid = _colex(q + 1)
     for i, f in enumerate(fact.factors):
-        assert all(owner[rank(*e)] == i for e in f.edges)
+        assert all(owner[high[c] + mid[b] + a] == i for a, b, c in f.edges)
 
 
 # factor 0 of q=5 (0 1 5 | 2 3 4) replaced: the InvariantError its table raises

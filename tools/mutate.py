@@ -10,21 +10,22 @@ included) and nothing else:
 - a `raise` dropped (replaced by `pass`).
 
 The mutated module is written back with ast.unparse into a copy of the
-checkout's files (those git tracks or would track), and the tests run there:
-"killed" if they fail, "timeout" if they outrun --timeout, "survived" if
-they pass.  A control run first unparses every target module with no
-mutation; the sweep stops if the control does not pass.  See DeMillo,
-Lipton and Sayward, "Hints on test data selection", IEEE Computer 11(4)
-(1978), and Offutt et al., "An experimental determination of sufficient
-mutant operators", ACM TOSEM 5(2) (1996).
+checkout's files (those git tracks or would track), and `pytest -x -q tests`
+runs there: "killed" if it fails, "timeout" after 300 s, "survived" if it
+passes, "outside" if trifactor is imported from anywhere but the copy.  A
+control run first unparses every target module with no mutation; the sweep
+stops unless the control survives.  See DeMillo, Lipton and Sayward, "Hints
+on test data selection", IEEE Computer 11(4) (1978), and Offutt et al., "An
+experimental determination of sufficient mutant operators", ACM TOSEM 5(2)
+(1996).
 
 Usage, from the checkout root (stdlib only; not collected by pytest):
 
     python tools/mutate.py trifactor.factorisation:verify_partition \\
-        trifactor.factorisation:Factorisation.image --jobs 2 --work DIR
+        trifactor.factorisation:Factorisation.image --work DIR
 
 A target is module:qualified.name.  --list prints the mutants and runs
-nothing.  Test arguments after `--` replace the default `-x -q tests`.
+nothing.  os.cpu_count() test runs go at once.
 """
 
 from __future__ import annotations
@@ -41,30 +42,35 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds; mutants that make the suite sweep every q die only by this
 FLIPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
          ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
          ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And}
+# Exit 99 unless trifactor comes from the copy's src/, then run the tests.
+RUNNER = """import sys
+from pathlib import Path
+import trifactor
+if not Path(trifactor.__file__).resolve().is_relative_to(Path("src").resolve()):
+    sys.exit(99)
+import pytest
+sys.exit(pytest.main(["-p", "no:cacheprovider", "-x", "-q", "tests"]))
+"""
 
 
 def module_path(target: str) -> Path:
-    module = target.split(":")[0]
-    return Path("src", *module.split(".")).with_suffix(".py")
+    return Path("src", *target.split(":")[0].split(".")).with_suffix(".py")
 
 
-def find_function(tree: ast.Module, qualname: str) -> ast.AST:
-    node: ast.AST | None = tree
-    for name in qualname.split("."):
-        node = next((n for n in ast.iter_child_nodes(node)
+def sites(target: str, tree: ast.Module):
+    """(node, field, index, new value, line, description) of each mutant in
+    the target function, in walk order; applying one sets
+    getattr(node, field)[index], or the field itself when index is None."""
+    func: ast.AST = tree
+    for name in target.split(":")[1].split("."):
+        func = next((n for n in ast.iter_child_nodes(func)
                      if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name), None)
-        if node is None:
-            raise SystemExit(f"no function or class {qualname!r}")
-    return node
-
-
-def sites(func: ast.AST):
-    """(node, field, index, new value, line, description) of each mutant,
-    in walk order; applying one sets getattr(node, field)[index], or the
-    field itself when index is None."""
+        if func is None:
+            raise SystemExit(f"no function or class {target!r}")
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             for j, op in enumerate(node.ops):
@@ -83,29 +89,22 @@ def sites(func: ast.AST):
               and type(node.value.value) is bool):
             yield (node, "value", None, ast.Constant(not node.value.value), node.lineno,
                    f"return {node.value.value} -> {not node.value.value}")
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.For, ast.While, ast.If,
-                             ast.With, ast.Try)):
-            for field in ("body", "orelse", "finalbody"):
-                for j, stmt in enumerate(getattr(node, field, [])):
-                    if isinstance(stmt, ast.Raise):
-                        yield node, field, j, ast.Pass(), stmt.lineno, "drop raise"
+        for field in ("body", "orelse", "finalbody"):
+            stmts = getattr(node, field, None)
+            for j, stmt in enumerate(stmts if isinstance(stmts, list) else []):
+                if isinstance(stmt, ast.Raise):
+                    yield node, field, j, ast.Pass(), stmt.lineno, "drop raise"
 
 
-def mutants(targets: list[str]) -> list[tuple[str, int, int, str]]:
-    """(target, site number, line, description) of every mutant."""
-    out = []
-    for target in targets:
-        tree = ast.parse((ROOT / module_path(target)).read_text(encoding="utf-8"))
-        for k, site in enumerate(sites(find_function(tree, target.split(":")[1]))):
-            out.append((target, k, *site[4:]))
-    return out
+def parse(target: str) -> ast.Module:
+    return ast.parse((ROOT / module_path(target)).read_text(encoding="utf-8"))
 
 
 def mutated_source(target: str, k: int | None) -> str:
     """The target's module unparsed, with site k mutated (none if k is None)."""
-    tree = ast.parse((ROOT / module_path(target)).read_text(encoding="utf-8"))
+    tree = parse(target)
     if k is not None:
-        node, field, index, new, _, _ = list(sites(find_function(tree, target.split(":")[1])))[k]
+        node, field, index, new, _, _ = list(sites(target, tree))[k]
         if index is None:
             setattr(node, field, new)
         else:
@@ -113,10 +112,9 @@ def mutated_source(target: str, k: int | None) -> str:
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
-def run_tests(work: Path, files: dict[Path, str], pytest_args: list[str],
-              timeout: float) -> str:
-    """Copy the checkout's files that git sees into work, write files over them
-    and run the tests there: killed, survived or timeout."""
+def run_tests(work: Path, files: dict[Path, str]) -> str:
+    """Copy the checkout's files that git sees into work, write files over
+    them and run the tests there: killed, survived, timeout or outside."""
     listed = subprocess.run(["git", "ls-files", "--cached", "--others", "--exclude-standard"],
                             cwd=ROOT, capture_output=True, text=True, check=True)
     for name in listed.stdout.splitlines():
@@ -126,34 +124,28 @@ def run_tests(work: Path, files: dict[Path, str], pytest_args: list[str],
     for path, text in files.items():
         (work / path).write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
-                             *pytest_args], cwd=work, env=env, start_new_session=True,
+    proc = subprocess.Popen([sys.executable, "-c", RUNNER], cwd=work, env=env,
+                            start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        code = proc.wait(timeout=timeout)
+        code = proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         return "timeout"
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    return "survived" if code == 0 else "killed"
+    return {0: "survived", 99: "outside"}.get(code, "killed")
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    pytest_args = ["-x", "-q", "tests"]
-    if "--" in argv:
-        at = argv.index("--")
-        argv, pytest_args = argv[:at], argv[at + 1:]
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("targets", nargs="+", help="module:qualified.name")
-    parser.add_argument("--jobs", type=int, default=1, help="test runs at once")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per run")
     parser.add_argument("--work", type=Path, help="directory for the copies")
     parser.add_argument("--list", action="store_true", help="print the mutants only")
-    args = parser.parse_args(argv)
-    todo = mutants(args.targets)
+    args = parser.parse_args()
+    todo = [(t, k, site[4], site[5])
+            for t in args.targets for k, site in enumerate(sites(t, parse(t)))]
     if args.list:
         for target, k, line, text in todo:
             print(f"{target} #{k} line {line}: {text}")
@@ -163,17 +155,16 @@ def main(argv: list[str] | None = None) -> int:
 
     def one(item):
         n, (target, k, _, _) = item
-        files = dict(control)
-        files[module_path(target)] = mutated_source(target, k)
-        return item[1], run_tests(root / f"m{n}", files, pytest_args, args.timeout)
+        return item[1], run_tests(root / f"m{n}",
+                                  {**control, module_path(target): mutated_source(target, k)})
 
+    counts: dict[str, int] = {}
     try:
-        verdict = run_tests(root / "control", control, pytest_args, args.timeout)
+        verdict = run_tests(root / "control", control)
         print(f"control: {verdict}", flush=True)
         if verdict != "survived":
             return 1
-        counts: dict[str, int] = {}
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
             for (target, k, line, text), verdict in pool.map(one, enumerate(todo)):
                 counts[verdict] = counts.get(verdict, 0) + 1
                 print(f"{verdict:8} {target} #{k} line {line}: {text}", flush=True)
@@ -181,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(root, ignore_errors=True)
     print(", ".join(f"{n} {v}" for v, n in sorted(counts.items())))
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())
