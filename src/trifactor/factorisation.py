@@ -33,11 +33,11 @@ import functools
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, combinations
 
 from .field import FiniteField, InvariantError, OutOfRangeError, UsageError
-from .projline import Mobius, base_map, invert
+from .projline import Mobius, _row, base_map, invert
 
 Edge = tuple[int, int, int]
 # A built edge holds ~16 bytes: three 4-byte points and its share of its
@@ -123,11 +123,6 @@ def _colex(n: int) -> tuple[list[int], list[int]]:
     among the C(n, 3) triples, is high[c] + mid[b] + a, that is
     C(c, 3) + C(b, 2) + a."""
     return [math.comb(c, 3) for c in range(n)], [math.comb(b, 2) for b in range(n)]
-
-
-def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
-    """x -> op(c, x), ctx.mul or ctx.add, as a point list; infinity is fixed."""
-    return [op(c, x) for x in range(ctx.q)] + [ctx.q]
 
 
 def canonical_label(ctx: FiniteField, a: int, b: int) -> tuple[int, int]:

@@ -1,12 +1,13 @@
 """Subgroups of the projective linear group generated by orbit maps.
 
 The closure of a generator set is computed breadth-first on point
-permutations, each element keyed by its images of 0, 1 and infinity.  Since
-the relevant subgroups are tiny (orders 3, 12, 24, 60, plus subfield copies)
-compared to the full group, classification mostly needs an early exit: once
-the closure outgrows every proper possibility it must be the whole group,
-and the exact order follows from the group-order formula rather than from
-enumeration.
+permutations, each element keyed by its images of 0, 1 and infinity, and
+stepped by the generators alone: in a finite group every inverse is a
+positive power.  Since the relevant subgroups are tiny (orders 3, 12, 24,
+60, plus subfield copies) compared to the full group, classification
+mostly needs an early exit: once the closure outgrows every proper
+possibility it must be the whole group, and the exact order follows from
+the group-order formula rather than from enumeration.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import gcd
 
 from .factorisation import Factorisation
 from .field import FiniteField, InvariantError, OutOfRangeError, is_prime
-from .projline import Mobius, invert, orbit_map
+from .projline import Mobius, orbit_map
 
 
 CLOSURE_CAP = 250_000
@@ -58,13 +59,15 @@ class GeneratedSubgroup(namedtuple("GeneratedSubgroup", "elements order full_gro
 
 
 def _steps(gens: list[Mobius]) -> list[tuple[int, ...]]:
-    """Point permutations of the generators, then of their inverses, deduplicated."""
-    perms = [g.permutation() for g in gens]
-    return list(dict.fromkeys(perms + [invert(perm) for perm in perms]))
+    """Point permutations of the generators, deduplicated.  In a finite
+    group g^-1 = g^(k-1) for g of order k, so products of these alone reach
+    every element, and images under them every point of an orbit."""
+    return list(dict.fromkeys(g.permutation() for g in gens))
 
 
 def is_transitive(ctx: FiniteField, gens: list[Mobius]) -> bool:
-    """Single orbit on the projective line; needs no subgroup closure."""
+    """Single orbit on the projective line: the orbit of infinity, grown by
+    the generators alone (see _steps); needs no subgroup closure."""
     n = ctx.q + 1
     steps = _steps(gens)
     seen = [False] * n
@@ -92,7 +95,8 @@ def generate_subgroup(
     """Breadth-first closure of gens under composition.
 
     Works on keys (g(0), g(1), g(inf)): composing a generator permutation s
-    on the left sends key (a, b, c) to (s[a], s[b], s[c]).  With
+    on the left sends key (a, b, c) to (s[a], s[b], s[c]); the generators
+    alone step, not their inverses (see _steps).  With
     stop_when_full, the search stops as soon as the closure exceeds
     full_exit_threshold and reports the whole group with its order given by
     the order formula; this is only sound for generators that are

@@ -6,10 +6,15 @@ what the partition and sweep kernels key on.
 
 A Mobius map is an invertible 2x2 matrix over the field, stored in a
 canonical projective form (first nonzero entry scaled to 1) so that scalar
-multiples compare and hash as the same map.
+multiples compare and hash as the same map.  Its point permutation is
+composed from rows x -> k x, x -> x + t (infinity fixed) and x -> 1/x, point
+lists that each field builds once on first use, not by evaluating the map.
 """
 
 from __future__ import annotations
+
+import functools
+from collections.abc import Callable
 
 from .field import FiniteField, InvariantError, UsageError
 
@@ -90,10 +95,36 @@ class Mobius:
         return Mobius(ctx, self.d, ctx.neg(self.b), ctx.neg(self.c), self.a)
 
     def permutation(self) -> tuple[int, ...]:
-        """Image of every point, indexed 0..q (inf last); computed once."""
+        """Image of every point, indexed 0..q (inf last); computed once from
+        rows: x -> (a/d) x + b/d when c = 0, else x -> a/c + k/(c x + d) with
+        k = (b c - a d)/c, sending -d/c to infinity and infinity to a/c."""
         if self._perm is None:
-            self._perm = tuple(self(x) for x in range(self.ctx.q + 1))
+            ctx, a, b, c, d = self.ctx, *self.entries
+            mul, add, div = ctx.mul, ctx.add, ctx.div
+            if c == 0:
+                shift = _shared_row(ctx, add, div(b, d))
+                perm = [shift[x] for x in _shared_row(ctx, mul, div(a, d))]
+            else:
+                k = div(ctx.sub(mul(b, c), mul(a, d)), c)
+                shift, recip = _shared_row(ctx, add, div(a, c)), _reciprocal(ctx)
+                scale, den = _shared_row(ctx, mul, k), _shared_row(ctx, add, d)
+                perm = [shift[scale[recip[den[x]]]] for x in _shared_row(ctx, mul, c)]
+            self._perm = tuple(perm)
         return self._perm
+
+
+def _row(ctx: FiniteField, op: Callable[[int, int], int], c: int) -> list[int]:
+    """x -> op(c, x), ctx.mul or ctx.add, as a point list; infinity is fixed."""
+    return [op(c, x) for x in range(ctx.q)] + [ctx.q]
+
+
+_shared_row = functools.cache(_row)
+
+
+@functools.cache
+def _reciprocal(ctx: FiniteField) -> list[int]:
+    """x -> 1/x as a point list: 0 and infinity swap."""
+    return [ctx.q] + [ctx.inv(x) for x in range(1, ctx.q)] + [0]
 
 
 def invert(perm) -> tuple[int, ...]:
@@ -104,8 +135,9 @@ def invert(perm) -> tuple[int, ...]:
     return tuple(inv)
 
 
+@functools.cache
 def base_map(ctx: FiniteField) -> Mobius:
-    """x -> 1/(1 - x): fixed-point-free of order 3 on the projective line."""
+    """x -> 1/(1 - x), one per field: fixed-point-free of order 3 on the line."""
     return Mobius(ctx, 0, 1, ctx.neg(1), 1)
 
 
@@ -121,14 +153,14 @@ def orbit_map(ctx: FiniteField, a: int, b: int) -> Mobius:
 
     Closed form x -> b + a^2/(a + b - x); like the base map it has order 3
     and no fixed points, so its orbits partition the line into triples when
-    q = 2 mod 3.
+    q = 2 mod 3.  Checked as m o g = g o F, g the label's affine map.
     """
     if a == 0:
         raise UsageError("label scale must be nonzero")
     s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))
     m = Mobius(ctx, ctx.neg(b), s, ctx.neg(1), ctx.add(a, b))
     g = affine_map(ctx, a, b)
-    if m != g.compose(base_map(ctx)).compose(g.inverse()):
+    if m.compose(g) != g.compose(base_map(ctx)):
         raise InvariantError(f"orbit map {m!r} is not the conjugate of the base map")
     return m
 

@@ -204,17 +204,43 @@ def test_census_odd_pair_count_is_an_invariant_error(extra_a4_pair, factorisatio
         a4_pair_census(factorisations(11))
 
 
-def test_census_converts_each_map_once(monkeypatch):
-    # 55 orbit maps on 12 points: each is evaluated once, not once per pair
-    fact = build_factorisation(field(11))
-    calls = 0
+def _counted_evaluations(monkeypatch) -> list:
+    """Record every Mobius.__call__ from here on; returns the record."""
+    calls = []
     evaluate = Mobius.__call__
 
     def counted(self, x):
-        nonlocal calls
-        calls += 1
+        calls.append(x)
         return evaluate(self, x)
 
     monkeypatch.setattr(Mobius, "__call__", counted)
+    return calls
+
+
+def test_census_converts_each_map_once(monkeypatch):
+    # 55 orbit maps on 12 points: each becomes a permutation once, composed
+    # from field rows, and no map is evaluated point by point
+    fact = build_factorisation(field(11))
+    calls = _counted_evaluations(monkeypatch)
     assert a4_pair_census(fact)["a4_pair_count"] == 330
-    assert calls <= 55 * 12
+    assert calls == []
+
+
+def test_q41_classification_evaluates_no_map(monkeypatch, factorisations):
+    # the loop of the benchmark's subgroups workload: orbit map, early-exit
+    # closure and transitivity for each of the 819 non-base labels
+    fact = factorisations(41)
+    ctx = fact.ctx
+    calls = _counted_evaluations(monkeypatch)
+    base = base_map(ctx)
+    tags = {}
+    transitive = 0
+    for f in fact.factors[1:]:
+        m = orbit_map(ctx, *f.label)
+        g = generate_subgroup(ctx, [base, m], stop_when_full=True)
+        tag = classify_subgroup(g, ctx).tag
+        tags[tag] = tags.get(tag, 0) + 1
+        transitive += is_transitive(ctx, [base, m])
+    assert calls == []
+    assert tags == {"A4": 42, "A5": 42, "FullPSL": 735}
+    assert transitive == 735

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from trifactor.field import UsageError, field
+from trifactor import projline
+from trifactor.field import InvariantError, UsageError, field
 from trifactor.projline import (
     Mobius,
     affine_map,
@@ -47,6 +48,37 @@ def test_apply_is_bijective():
             assert len(image) == ctx.q + 1
 
 
+@pytest.mark.parametrize("p, l", [(5, 1), (11, 1), (41, 1), (2, 3), (2, 5), (3, 2),
+                                  (5, 3)])
+def test_permutation_matches_pointwise_evaluation(p, l):
+    # permutation() is composed from field rows; __call__ is the definition
+    ctx = field(p, l)
+    q = ctx.q
+    rng = random.Random(q)
+    seen_c = set()
+    for k in range(300):
+        a, b, d = (rng.randrange(q) for _ in range(3))
+        c = 0 if k % 3 == 0 else rng.randrange(q)
+        try:
+            m = Mobius(ctx, a, b, c, d)
+        except ValueError:
+            continue
+        perm = m.permutation()
+        assert perm == tuple(m(x) for x in range(q + 1)), m
+        if m.c:
+            pole = ctx.neg(ctx.div(m.d, m.c))
+            assert perm[pole] == q and perm[q] == ctx.div(m.a, m.c)
+        else:
+            assert perm[q] == q
+        seen_c.add(m.c == 0)
+    assert seen_c == {True, False}
+
+
+def test_base_map_is_one_shared_map_per_field():
+    assert base_map(field(11)) is base_map(field(11))
+    assert base_map(field(11)) == Mobius(field(11), 0, 1, 10, 1)
+
+
 def test_compose_inverse_identity():
     ctx = field(5)
     f = base_map(ctx)
@@ -89,6 +121,15 @@ def test_orbit_map_label_one_zero_is_base_map():
     for p, l in [(5, 1), (2, 3), (11, 1)]:
         ctx = field(p, l)
         assert orbit_map(ctx, 1, 0) == base_map(ctx)
+
+
+def test_orbit_map_refuses_a_map_that_is_not_the_conjugate(monkeypatch):
+    # m o g = g o F fails once F is not the base map: here F is its inverse
+    ctx = field(11)
+    inverse = base_map(ctx).inverse()
+    monkeypatch.setattr(projline, "base_map", lambda c: inverse)
+    with pytest.raises(InvariantError, match="is not the conjugate of the base map"):
+        orbit_map(ctx, 2, 3)
 
 
 def test_orbit_map_special_values():
