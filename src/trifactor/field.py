@@ -18,7 +18,9 @@ up to the construction cap of 2^20.  Schoolbook products (_raw_mul) only
 build the tables.  An odd extension adds by Zech logarithms:
 zech[k] = log(1 + g^k), so a + b = a (1 + b/a) is four lookups (Huber,
 "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990).
-Characteristic 2 adds by xor and a prime field mod p.
+Characteristic 2 adds by xor and a prime field mod p.  Quadratics are solved
+in odd characteristic, and in characteristic 2 at odd degree (q = 2 mod 3
+forces it) by the half-trace.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ class FiniteField:
         self._mod_mask = None
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
-        self._as_basis = None
         self._basis_traces = None
         self._build_tables()
 
@@ -312,43 +313,14 @@ class FiniteField:
         y = self._exp[k // 2]
         return min(y, self.neg(y))
 
-    def _artin_schreier_root(self, d: int) -> int | None:
-        """One solution t of t^2 + t = d in characteristic 2, or None.
-
-        The map t -> t^2 + t is GF(2)-linear with kernel {0, 1}; solve by
-        reducing d against a triangular basis of the image.
-        """
-        if self._as_basis is None:
-            basis: dict[int, tuple[int, int]] = {}
-            for j in range(self.l):
-                e = 1 << j
-                v = self.mul(e, e) ^ e
-                pre = e
-                while v:
-                    piv = v.bit_length() - 1
-                    if piv not in basis:
-                        basis[piv] = (v, pre)
-                        v = 0
-                    else:
-                        bv, bp = basis[piv]
-                        v ^= bv
-                        pre ^= bp
-            self._as_basis = basis
-        r, t = d, 0
-        while r:
-            piv = r.bit_length() - 1
-            if piv not in self._as_basis:
-                return None
-            bv, bp = self._as_basis[piv]
-            r ^= bv
-            t ^= bp
-        return t
-
     def solve_quadratic(self, a: int, b: int, c: int) -> set[int]:
         """All distinct roots of a x^2 + b x + c.
 
         a = 0 degenerates to the linear case; a = b = 0 with c != 0 has no
-        roots; all three zero is rejected.
+        roots; all three zero is rejected.  Characteristic 2 with b != 0
+        needs an odd degree l, else UsageError: x = (b/a) t gives t^2 + t =
+        d = ac/b^2, and if Tr(d) = 0 the half-trace H = sum d^(4^i), i <=
+        (l-1)/2, is a root, as H^2 + H = d + d^2 + ... + d^(2^l) = Tr(d) + d.
         """
         if a == 0 and b == 0:
             if c == 0:
@@ -359,10 +331,14 @@ class FiniteField:
         if self.p == 2:
             if b == 0:
                 return {self.sqrt(self.div(c, a))}
+            if self.l % 2 == 0:
+                raise UsageError(f"quadratics over GF(2^{self.l}) need an odd degree")
             d = self.div(self.mul(a, c), self.mul(b, b))
             if self.trace(d) != 0:
                 return set()
-            t0 = self._artin_schreier_root(d)
+            t0 = d  # the half-trace d + d^4 + ... + d^(4^((l-1)/2))
+            for _ in range(self.l // 2):
+                t0 = self.pow(t0, 4) ^ d
             scale = self.div(b, a)
             return {self.mul(t0, scale), self.mul(t0 ^ 1, scale)}
         four = 4 % self.p

@@ -35,7 +35,8 @@ def full_exit_threshold(ctx: FiniteField) -> int:
     Valid for subgroups generated by conjugates of the base map, which
     carry at least four order-3 elements: that excludes the dihedral and
     point-stabiliser families (their order-3 supply is too small when
-    q = 2 mod 3), leaving A4, S4, A5 and projective groups over subfields.
+    q = 2 mod 3), leaving A4, A5 and projective groups over subfields (S4's
+    order-3 elements all lie in its A4).
     """
     p, l = ctx.p, ctx.l
     bound = 60
@@ -128,7 +129,7 @@ def generate_subgroup(
 
 
 class SubgroupClass(namedtuple("SubgroupClass", "tag order")):
-    """tag is C3, A4, S4, A5, FullPSL or Other."""
+    """tag is C3, A4, A5, FullPSL or Other."""
 
     __slots__ = ()
 
@@ -136,15 +137,16 @@ class SubgroupClass(namedtuple("SubgroupClass", "tag order")):
 def classify_subgroup(group: GeneratedSubgroup, ctx: FiniteField) -> SubgroupClass:
     """Order-based classification, valid for closures of base-map conjugates.
 
-    For odd prime q the possible proper closures are exactly A4, S4 and A5,
-    so the order pins the type; everything larger is the whole group.  For
-    proper prime powers, subfield groups can appear and come back as Other
-    with their order.
+    For odd prime q the possible proper closures are exactly A4 and A5, so
+    the order pins the type; everything larger is the whole group.  Order
+    24 never occurs: S4's order-3 elements lie in its A4, D24's in one C3.
+    For proper prime powers, subfield groups can appear and come back as
+    Other with their order.
     """
     if group.full_group:
         return SubgroupClass("FullPSL", psl_order(ctx))
     order = group.order
-    tags = {3: "C3", 12: "A4", 24: "S4", 60: "A5"}
+    tags = {3: "C3", 12: "A4", 60: "A5"}
     if order in tags:
         return SubgroupClass(tags[order], order)
     return SubgroupClass("Other", order)

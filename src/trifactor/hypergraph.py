@@ -322,11 +322,6 @@ def find_isomorphism(h1: UnionHypergraph, h2: UnionHypergraph) -> list[int] | No
     return None
 
 
-def apply_isomorphism(h: UnionHypergraph, mapping: list[int]) -> list[Edge]:
-    """Image of h's edges under a vertex mapping, sorted: a multiset to replay."""
-    return sorted(tuple(sorted(e)) for e in edges_of(map(mapping.__getitem__, h.points)))
-
-
 # -- Hamilton Berge cycles ---------------------------------------------------
 
 

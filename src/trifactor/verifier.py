@@ -39,7 +39,6 @@ from .field import (
 )
 from .hypergraph import (
     DEFAULT_TIME_BUDGET,
-    apply_isomorphism,
     block_map,
     block_overlap,
     blocks_connected,
@@ -156,6 +155,12 @@ def _to_base(fact: Factorisation):
     return affine
 
 
+def _codes(bit: list[int], points) -> list[int]:
+    """The edges of points, three points an edge, each as bit[x] | bit[y] |
+    bit[z], sorted: with bit[v] marking v's image, the image's edge multiset."""
+    return sorted([bit[x] | bit[y] | bit[z] for x, y, z in edges_of(points)])
+
+
 def check_c1f(fact: Factorisation, mode: str = "reduced") -> TheoremVerdict:
     """Is every union of two distinct factors connected?
 
@@ -189,9 +194,9 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     union of factors 0 and 1.  affine(i), then elements[tau[x]] for x the
     image of j under affine(i), moves pair (i, j) onto (0, r), r the least
     of x's N-orbit; the sweep meets (0, r) first and searches one
-    isomorphism there.  That map, then it, must move the pair's union onto
-    the reference's edges, else InvariantError.  UC1F adds connectivity of
-    the reference.
+    isomorphism there.  That map, then it, must move the pair's edges onto
+    the reference's, compared as _codes, else InvariantError.  UC1F adds
+    connectivity of the reference.
     """
     q = fact.ctx.q
     n = q + 1
@@ -211,7 +216,7 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
     iso_tasks = 0
     reference = union_hypergraph(n, factors[:2]) if nf >= 2 else None
     if computed and reference is not None:
-        reference_edges = sorted(reference.edges)
+        target = _codes([1 << v for v in range(n)], reference.points)
         affine = _to_base(fact)
         sym = fact.symmetry
         found = {}  # N-orbit representative r -> isomorphism of (0, r), or None
@@ -228,9 +233,8 @@ def check_u1f(fact: Factorisation) -> tuple[TheoremVerdict, TheoremVerdict]:
                            "reason": "not_isomorphic"}
                 break
             g = sym.elements[sym.tau[x]]
-            mapping = [found[r][g[v]] for v in affine(i)]
-            h = union_hypergraph(n, [factors[i], factors[j]])
-            if apply_isomorphism(h, mapping) != reference_edges:
+            if _codes([1 << found[r][g[v]] for v in affine(i)],
+                      factors[i].points + factors[j].points) != target:
                 raise InvariantError(f"the isomorphism of pair {(i, j)} fails its replay")
     stats = {"overlap_tasks": overlap_tasks, "isomorphism_tasks": iso_tasks}
     u1f = TheoremVerdict(q, "u1f", computed, predict_u1f(q), witness, stats)
@@ -283,8 +287,7 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
         h = union_hypergraph(fact.ctx.q + 1, [fact.factors[x] for x in base])
         # s∘tau∘(x -> a x + b)^-1 moves base onto its key; bit[v] marks v's image
         g, t_fwd = sym.elements[s], sym.elements[tau]
-        bit = [1 << g[t_fwd[v]] for v in affine(m)]
-        codes = sorted([bit[x] | bit[y] | bit[z] for x, y, z in edges_of(h.points)])
+        codes = _codes([1 << g[t_fwd[v]] for v in affine(m)], h.points)
         if key not in checked:
             if not is_connected(h):
                 checked[key] = (codes, "disconnected")
@@ -301,13 +304,7 @@ def _hb1f_check_triples(fact: Factorisation, triples, time_budget: float):
     for t in triples:
         i, j, k = t
         x, y, z = replayed(i, i), replayed(i, j), replayed(i, k)
-        if x > y:
-            x, y = y, x
-        if y > z:
-            y, z = z, y
-            if x > y:
-                x, y = y, x
-        yield t, status((x, y, z))
+        yield t, status((x, y, z) if y < z else (x, z, y))
 
 
 def check_hb1f(

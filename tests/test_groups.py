@@ -142,7 +142,7 @@ def test_classification_q17_only_expected_tags():
         g = generate_subgroup(ctx, [f, orbit_map(ctx, *fac.label)],
                               stop_when_full=True)
         tags.add(classify_subgroup(g, ctx).tag)
-    assert tags <= {"A4", "S4", "A5", "FullPSL"}
+    assert tags <= {"A4", "A5", "FullPSL"}
     assert "A4" in tags
 
 

@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library, and no process pool,
 dataclasses or typing.
 It has no assert statement, which python -O would strip, and no module-level
-function or class that only tests read.
+function or class, method or property that only tests read.
 
 Its only exception classes are the three in field.py: UsageError and its
 OutOfRangeError subclass (exit 3) and InvariantError (exit 4).
@@ -11,6 +11,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import trifactor
@@ -87,18 +88,38 @@ def test_package_has_no_assert_statements():
 def test_every_module_level_definition_has_a_reader_in_src():
     # code that only tests reach is deleted, not kept: each module-level
     # function and class is named by src/ code outside its own body, and
-    # the re-exports in __init__.py do not count as readers
+    # the re-exports in __init__.py do not count as readers.  Each method
+    # and property is read as an attribute (.name) outside its own body,
+    # but dunders, which Python calls, and _Parser.error, which argparse
+    # calls
     src = Path(trifactor.__file__).resolve().parent
     defined = []
     read = set()
+    attributes = Counter()
+    methods = []
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attributes += _attributes(tree)
+        for stmt in tree.body:
             names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.name, stmt.name))
                 names.discard(stmt.name)
             read |= names
+            if isinstance(stmt, ast.ClassDef):
+                methods += [(path.name, f"{stmt.name}.{item.name}", item)
+                            for item in stmt.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")]
     unread = [f"{module}: {name}" for module, name in defined if name not in read]
+    unread += [f"{module}: {name}" for module, name, body in methods
+               if name != "_Parser.error"
+               and attributes[body.name] == _attributes(body)[body.name]]
     assert unread == [], f"no reader in src/: {', '.join(unread)}"
+
+
+def _attributes(tree) -> Counter:
+    """How often each attribute name is read under tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
