@@ -12,8 +12,10 @@ factors, in the order the build makes them.  The build computes the q
 translation rows x -> x + b once, as point lists, and scales the base
 edges once for each a that has a canonical label; each factor is then
 the scaled edges moved by one row.  A factor
-stores its edges flat, as one array('I') of points, three an edge, so a
-factorisation holds C(q+1, 3) edges without one tuple object each.
+stores its edges flat, as one array of points, three an edge, so a
+factorisation holds C(q+1, 3) edges without one tuple object each.  A point
+takes one byte, array('B'), while n = q+1 <= 256, as in every factorisation
+MAX_EDGES admits; only a single factor past that takes four, array('I').
 verify_partition checks independently that each factor covers every point
 once and that they partition all triples, marking each in one byte array
 indexed by the triple rather than keeping a set of C(q+1, 3) tuples.
@@ -40,9 +42,9 @@ from .field import FiniteField, InvariantError, OutOfRangeError, UsageError
 from .projline import Mobius, _row, base_map, invert
 
 Edge = tuple[int, int, int]
-# A built edge holds ~16 bytes: three 4-byte points and its share of its
+# A built edge holds ~6 bytes: three 1-byte points and its share of its
 # factor's object, label and index entry.  Building and verifying q=227
-# peaks at 58 MB resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
+# peaks at 28 MB resident (Python 3.11).  The cap keeps q=227 and refuses q=233.
 MAX_EDGES = 2_000_000
 
 
@@ -62,7 +64,7 @@ class OneFactor:
     """A perfect matching of the q+1 points by triples, with its label.
 
     points holds the edges flat, three points an edge: the edges sorted,
-    each edge sorted.
+    each edge sorted; one byte a point up to 256 points, else four.
     """
 
     __slots__ = ("label", "points")
@@ -80,9 +82,15 @@ class OneFactor:
         return f"OneFactor(label={self.label}, edges={len(self.points) // 3})"
 
 
+def _flat(n: int, points: Iterable[int]) -> array:
+    """points, each below n, as one array: a byte a point when n <= 256,
+    as for every factorisation MAX_EDGES admits, else four."""
+    return array("B", bytes(points)) if n <= 256 else array("I", points)
+
+
 def _orbit_edges(perm: tuple[int, ...], n: int) -> array:
     """The 3-cycles of perm as flat edges, each sorted, by least point."""
-    points = array("I")
+    points = []
     seen = bytearray(n)
     for x in range(n):
         if seen[x]:
@@ -93,7 +101,7 @@ def _orbit_edges(perm: tuple[int, ...], n: int) -> array:
             raise InvariantError(f"point {x} does not lie on a 3-cycle")
         seen[x] = seen[y] = seen[z] = 1
         points.extend(sorted((x, y, z)))
-    return points
+    return _flat(n, points)
 
 
 @functools.cache
@@ -115,7 +123,7 @@ def _moved(img: Sequence[int], points: Iterable[int]) -> array:
             if x > y:
                 x, y = y, x
         edges.append((x, y, z))
-    return array("I", chain.from_iterable(sorted(edges)))
+    return _flat(len(img), chain.from_iterable(sorted(edges)))
 
 
 def _colex(n: int) -> tuple[list[int], list[int]]:

@@ -8,8 +8,8 @@ between unions, and searches for Hamilton Berge cycles.  A union of k
 factors on n vertices has k n / 3 edges, so a Berge cycle, which needs n
 distinct edges, exists only in a 3-factor union and uses all of its edges;
 the one Berge search handles exactly that case.  A union stores its edges
-flat, as one array('I') of points, three an edge, like a one-factor; the
-searches decode them into triples once per call.
+flat, as one array of points, three an edge, like a one-factor, whose point
+width it keeps; the searches decode them into triples once per call.
 """
 
 from __future__ import annotations

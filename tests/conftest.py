@@ -38,7 +38,8 @@ def tamper_union(monkeypatch):
             built.append(h)
             if len(built) == at:
                 x, y, z, u, v, w = h.points[:6]
-                swapped = array("I", [*sorted((x, y, w)), *sorted((u, v, z))])
+                swapped = array(h.points.typecode,
+                                [*sorted((x, y, w)), *sorted((u, v, z))])
                 h = UnionHypergraph(n, swapped + h.points[6:])
             return h
 

@@ -103,6 +103,17 @@ def test_overlap_single_label(capsys):
     assert payload["agree"] is True
 
 
+def test_overlap_just_past_one_byte_points(capsys):
+    # q=257: 258 points, two more than a byte can index, so both factors
+    # keep four-byte points
+    code, out, _ = run_cli(capsys, "overlap", "--q", "257", "--alpha", "2",
+                           "--beta", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algebraic"] == payload["combinatorial"] == 2
+    assert payload["agree"] is True
+
+
 def test_overlap_with_points_above_255(capsys):
     # q=3125: the factors hold points up to 3125, past one byte; the output
     # is pinned as computed with one tuple per edge

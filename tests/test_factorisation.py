@@ -360,7 +360,7 @@ def test_verify_partition_rejects_edges_off_the_line(bad):
 
     fact = build_factorisation(field(5))
     first = fact.factors[0]
-    broken = [OneFactor(first.label, array("I", bad) + first.points[3:]),
+    broken = [OneFactor(first.label, array(first.points.typecode, bad) + first.points[3:]),
               *fact.factors[1:]]
     rep = verify_partition(Factorisation(fact.ctx, broken))
     assert not rep.ok
@@ -395,9 +395,10 @@ def test_verify_partition_finds_factors_that_swapped_an_edge():
 
 
 def test_build_stores_each_factor_as_one_flat_array():
-    # a fresh q=59 build: 1,770 factors of 60 points each; with one tuple
-    # object per edge it traced 2.8 MB, and with a map of every label, twins
-    # included, 1.16 MB
+    # a fresh q=59 build: 1,770 factors of 60 one-byte points each, 0.48 MB
+    # traced with the field's caches cold; with one tuple object per edge it
+    # traced 2.8 MB, with a map of every label, twins included, 1.16 MB, and
+    # with 4-byte points 0.79 MB
     q = 59
     ctx = field_for(q)
     tracemalloc.start()
@@ -406,9 +407,23 @@ def test_build_stores_each_factor_as_one_flat_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.0e6
-    assert all(type(f.points) is array and f.points.typecode == "I"
+    assert peak < 0.5e6
+    assert all(type(f.points) is array and f.points.typecode == "B"
                and len(f.points) == q + 1 for f in fact.factors)
+
+
+def test_points_take_four_bytes_only_past_256_points():
+    # every factorisation the cap admits has n = q + 1 <= 256 points, so only
+    # a single factor, as overlap --alpha builds, reaches four-byte points
+    from trifactor.factorisation import _flat
+
+    assert math.comb(257, 3) > factorisation.MAX_EDGES
+    assert _flat(256, [0, 255]).typecode == "B"
+    assert _flat(257, [0, 256]) == array("I", [0, 256])
+    assert build_one_factor(field_for(251), 2, 3).points.typecode == "B"
+    f = build_one_factor(field_for(257), 2, 3)
+    assert f.points.typecode == "I"
+    assert sorted(f.points) == list(range(258))
 
 
 def test_verify_partition_memory_is_one_byte_a_cell(factorisations):
@@ -439,7 +454,8 @@ def test_verify_partition_finds_one_moved_point_at_q125(factorisations):
     assert len(owners) == 1 and owners[0] != 1
     factors = list(fact.factors)
     factors[1] = OneFactor(fact.factors[1].label,
-                           array("I", moved) + fact.factors[1].points[3:])
+                           array(fact.factors[1].points.typecode, moved)
+                           + fact.factors[1].points[3:])
     rep = verify_partition(Factorisation(fact.ctx, factors))
     assert rep.total_edges == rep.expected_edges == math.comb(126, 3)
     assert rep.duplicates == [moved]

@@ -306,7 +306,8 @@ def _tamper_factor_1(fact):
     one = fact.factors[1]
     x, y, z, u, v, w = one.points[:6]
     edges = sorted([tuple(sorted((x, y, w))), tuple(sorted((u, v, z))), *one.edges[2:]])
-    fact.factors[1] = OneFactor(one.label, array("I", itertools.chain(*edges)))
+    fact.factors[1] = OneFactor(one.label,
+                                array(one.points.typecode, itertools.chain(*edges)))
 
 
 def test_check_hb1f_tampered_factor_fails_its_move():
