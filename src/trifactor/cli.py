@@ -38,7 +38,7 @@ from .verifier import (
     json_text,
     overlap_distribution,
     parse_config,
-    require_overlap_sums,
+    require_overlap_histogram,
     run_suite,
     scan_line,
     time_budget_seconds,
@@ -117,7 +117,7 @@ def cmd_overlap(args) -> int:
     if label is None:
         fact = build_factorisation(ctx)
         hist = overlap_distribution(fact)
-        require_overlap_sums(fact, hist)
+        require_overlap_histogram(fact, hist)
         _report(args, {"q": args.q, "histogram": {str(k): v for k, v in hist.items()}},
                 f"overlap histogram q={args.q}: {hist}\n")
         return 0

@@ -2,9 +2,9 @@
 
 A union of 2 or 3 one-factors is a small 3-uniform hypergraph (every vertex
 has degree = number of factors).  This module decides connectivity, counts
-the pair overlap of two factors both combinatorially and via the
-closed-form case analysis of the defining maps, searches for isomorphisms
-between unions, and searches for Hamilton Berge cycles.  A union of k
+the pair overlap of two factors both combinatorially and as fixed points
+of the defining maps, searches for isomorphisms between unions, and
+searches for Hamilton Berge cycles.  A union of k
 factors on n vertices has k n / 3 edges, so a Berge cycle, which needs n
 distinct edges, exists only in a 3-factor union and uses all of its edges;
 the one Berge search handles exactly that case.  A union stores its edges
@@ -21,7 +21,7 @@ from collections.abc import Iterable
 
 from .field import FiniteField, InvariantError, UsageError
 from .factorisation import Edge, OneFactor, canonical_label, edges_of
-from .projline import base_map
+from .projline import base_map, orbit_map
 
 DEFAULT_TIME_BUDGET = 10.0  # seconds per Hamilton Berge cycle search
 
@@ -134,8 +134,9 @@ class OverlapResult(namedtuple("OverlapResult", "count repeated_pairs "
     """Repeated vertex pairs between two one-factors.
 
     When computed algebraically, direct_solutions and inverse_solutions list
-    the points solving base(x) = m(x) and base^-1(x) = m(x); the overlap
-    count is the sum of their sizes.  Otherwise both are None.
+    the fixed points of base^-1 m and base m, the points where m(x) is
+    base(x) and base^-1(x); the overlap count is the sum of their sizes.
+    Otherwise both are None.
     """
 
     __slots__ = ()
@@ -162,60 +163,44 @@ def pair_overlap(f1: OneFactor, f2: OneFactor) -> OverlapResult:
 
 
 def pair_overlap_algebraic(ctx: FiniteField, a: int, b: int) -> OverlapResult:
-    """Overlap of the base factor with factor (a, b) by case analysis.
-
-    Splits on b = 0 / b = 1 / a + b = 1 / a + b = 0 exactly as the solution
-    tables for base(x) = m(x) and base^-1(x) = m(x) dictate, falling back to
-    the two quadratics in the general case.  Must agree with pair_overlap.
+    """Overlap of the base factor, map F, with factor (a, b), map H, by the
+    defining maps: a pair {x, F(x)} or {x, F^-1(x)} of a base edge is one of
+    H's exactly when x is a fixed point of F^-1 H or of F H.  Must agree
+    with pair_overlap.
     """
     if a == 0:
         raise UsageError("label scale must be nonzero")
     if canonical_label(ctx, a, b) == (1, 0):
         raise UsageError("label denotes the base factor")
-    one = 1
-    neg1 = ctx.neg(1)
-    inf = ctx.q
-    s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))  # a^2 + ab + b^2
-
-    # base(x) = m(x)
-    if b == 0:
-        if a == neg1:
-            direct = {inf}
-        else:
-            direct = {inf, ctx.div(a, ctx.add(one, a))}
-    elif ctx.add(a, b) == one:
-        direct = {one, ctx.neg(a)}
-    else:
-        coef_b = ctx.neg(ctx.sub(ctx.add(s, b), one))
-        coef_c = ctx.sub(s, ctx.add(a, b))
-        direct = ctx.solve_quadratic(b, coef_b, coef_c)
-
-    # base^-1(x) = m(x)
-    if b == one:
-        if a == one:
-            inverse = {inf}
-        else:
-            inverse = {inf, ctx.inv(ctx.sub(one, a))}
-    elif ctx.add(a, b) == 0:
-        inverse = {0, ctx.sub(one, a)}
-    else:
-        coef_a = ctx.sub(one, b)
-        coef_b = ctx.sub(s, ctx.add(ctx.add(a, b), one))
-        coef_c = ctx.add(a, b)
-        inverse = ctx.solve_quadratic(coef_a, coef_b, coef_c)
-
-    f = base_map(ctx)
+    f, h = base_map(ctx), orbit_map(ctx, a, b)
     f_inv = f.inverse()
+    direct, inverse = f_inv.compose(h).fixed_points(), f.compose(h).fixed_points()
     pairs = [tuple(sorted((x, f(x)))) for x in direct]
     pairs += [tuple(sorted((x, f_inv(x)))) for x in inverse]
     if len(set(pairs)) != len(pairs):
         raise InvariantError(f"label ({a}, {b}): a repeated pair is counted twice")
-    return OverlapResult(
-        len(direct) + len(inverse),
-        sorted(set(pairs)),
-        sorted(direct),
-        sorted(inverse),
-    )
+    return OverlapResult(len(pairs), sorted(pairs), sorted(direct), sorted(inverse))
+
+
+def overlaps_by_traces(ctx: FiniteField, labels) -> list[int]:
+    """pair_overlap_algebraic's count for each label, none the base
+    factor's, solving nothing.  F H and F^-1 H have traces t = a + b - 1 - s,
+    s = a^2 + ab + b^2, and a - t, and determinant a^2: scaled to determinant
+    1, traces u = t/a and 1 - u.  Such a map, not the identity, fixes
+    fixed[u] points: 1 when u^2 = 4, else 2 or 0 as u^2 - 4 is a square or
+    not; in characteristic 2, 1 when u = 0, else 2 or 0 as Tr(1/u^2) is 0
+    or 1."""
+    discs = [ctx.sub(ctx.mul(u, u), 4 % ctx.p) for u in range(ctx.q)]
+    if ctx.p == 2:
+        fixed = [2 * (ctx.trace(ctx.inv(d)) == 0) if d else 1 for d in discs]
+    else:
+        fixed = [2 * ctx.is_square(d) if d else 1 for d in discs]
+    counts = []
+    for a, b in labels:
+        s = ctx.add(ctx.mul(a, a), ctx.add(ctx.mul(a, b), ctx.mul(b, b)))
+        u = ctx.div(ctx.sub(ctx.add(a, b), ctx.add(1, s)), a)
+        counts.append(fixed[u] + fixed[ctx.sub(1, u)])
+    return counts
 
 
 # -- isomorphism -------------------------------------------------------------

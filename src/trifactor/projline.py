@@ -94,6 +94,14 @@ class Mobius:
         ctx = self.ctx
         return Mobius(ctx, self.d, ctx.neg(self.b), ctx.neg(self.c), self.a)
 
+    def fixed_points(self) -> set[int]:
+        """The points with m(x) = x: the roots of c x^2 + (d - a) x - b, and
+        infinity when c = 0.  The identity, which fixes them all, is a
+        UsageError."""
+        ctx = self.ctx
+        roots = ctx.solve_quadratic(self.c, ctx.sub(self.d, self.a), ctx.neg(self.b))
+        return roots | {ctx.q} if self.c == 0 else roots
+
     def permutation(self) -> tuple[int, ...]:
         """Image of every point, indexed 0..q (inf last); computed once from
         rows: x -> (a/d) x + b/d when c = 0, else x -> a/c + k/(c x + d) with

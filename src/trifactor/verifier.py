@@ -46,10 +46,11 @@ from .hypergraph import (
     find_hamilton_berge_cycle,
     find_isomorphism,
     is_connected,
+    overlaps_by_traces,
     union_hypergraph,
     validate_berge_cycle,
 )
-from .projline import invert
+from .projline import affine_map, invert
 
 SUPPORTED_Q = (2, 5, 8, 11, 17, 23, 29, 32, 41, 47, 53, 59, 125)
 PROPERTIES = ("c1f", "u1f", "uc1f", "hb1f")
@@ -145,12 +146,9 @@ def _sweep(nf: int, k: int, mode: str):
 def _to_base(fact: Factorisation):
     """affine(m), the inverse of x -> a x + b of m's label, which moves factor
     m to the base, cached per sweep; Factorisation.image moves the others."""
-    ctx = fact.ctx
-
     @functools.cache
     def affine(m):
-        a, b = fact.factors[m].label
-        return invert([ctx.add(ctx.mul(a, x), b) for x in range(ctx.q)] + [ctx.q])
+        return invert(affine_map(fact.ctx, *fact.factors[m].label).permutation())
 
     return affine
 
@@ -378,15 +376,20 @@ def overlap_distribution(fact: Factorisation) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def require_overlap_sums(fact: Factorisation, hist: dict[int, int]) -> None:
+def require_overlap_histogram(fact: Factorisation, hist: dict[int, int]) -> None:
     """InvariantError unless hist counts the nf - 1 other factors and their
-    (q + 1)(q - 2) shared pairs: each of the q + 1 pairs inside a base edge
-    lies in q - 2 more triples, and each triple in one other factor."""
+    (q + 1)(q - 2) shared pairs (each of the q + 1 pairs inside a base edge
+    lies in q - 2 more triples, and each triple in one other factor), and
+    unless it is the histogram of overlaps_by_traces over their labels."""
     q, nf = fact.ctx.q, len(fact.factors)
     if (sum(hist.values()), sum(c * k for c, k in hist.items())) != (
             nf - 1, (q + 1) * (q - 2)):
         raise InvariantError(f"q={q}: overlap histogram {hist} does not sum to "
                              f"{nf - 1} factors and {(q + 1) * (q - 2)} shared pairs")
+    traced = Counter(overlaps_by_traces(fact.ctx, [f.label for f in fact.factors[1:]]))
+    if hist != traced:
+        raise InvariantError(f"q={q}: overlap histogram {hist} is not the fixed-point "
+                             f"count's {dict(sorted(traced.items()))}")
 
 
 # -- characteristic-2 scans --------------------------------------------------
@@ -645,7 +648,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 f"{len(report.malformed)} malformed, missing {report.missing[:3]}, "
                 f"factors {report.not_one_factors[:3]} not covering each point once")
         hist = overlap_distribution(fact)
-        require_overlap_sums(fact, hist)
+        require_overlap_histogram(fact, hist)
         props: list[dict] = []
         note(check_c1f, fact, mode="reduced")
         if q <= cfg.c1f_full_max_q:

@@ -29,6 +29,7 @@ from trifactor.groups import (
 from trifactor.hypergraph import (
     find_hamilton_berge_cycle,
     is_connected,
+    overlaps_by_traces,
     pair_overlap,
     pair_overlap_algebraic,
     union_hypergraph,
@@ -152,6 +153,7 @@ def test_criterion_5_algebraic_combinatorial_equivalence(factorisations):
                     alg = pair_overlap_algebraic(ctx, a, b)
                     comb = pair_overlap(base, build_one_factor(ctx, a, b))
                     assert alg.count == comb.count, (q, a, b)
+                    assert overlaps_by_traces(ctx, [(a, b)]) == [alg.count], (q, a, b)
         for p, l in ((5, 3), (2, 7)):
             ctx = field(p, l)
             fact = factorisations(ctx.q)
@@ -167,6 +169,7 @@ def test_criterion_5_algebraic_combinatorial_equivalence(factorisations):
                 alg = pair_overlap_algebraic(ctx, a, b)
                 comb = pair_overlap(base, build_one_factor(ctx, a, b))
                 assert alg.count == comb.count, (ctx.q, a, b)
+                assert overlaps_by_traces(ctx, [(a, b)]) == [alg.count], (ctx.q, a, b)
                 checked += 1
 
 

@@ -26,7 +26,7 @@ from trifactor.field import (
     UsageError,
     field,
 )
-from trifactor.projline import Mobius, affine_map, invert, orbit_map
+from trifactor.projline import Mobius, affine_map, base_map, invert, orbit_map
 from trifactor.verifier import field_for
 
 
@@ -395,12 +395,17 @@ def test_verify_partition_finds_factors_that_swapped_an_edge():
 
 
 def test_build_stores_each_factor_as_one_flat_array():
-    # a fresh q=59 build: 1,770 factors of 60 one-byte points each, 0.48 MB
-    # traced with the field's caches cold; with one tuple object per edge it
-    # traced 2.8 MB, with a map of every label, twins included, 1.16 MB, and
-    # with 4-byte points 0.79 MB
+    # a fresh q=59 build: 1,770 factors of 60 one-byte points each.  The
+    # field's caches are built first, so that the trace does not depend on
+    # which test used the field before: 0.45 MB traced run alone, 0.38 MB
+    # once earlier code has filled the interpreter's free list of pairs.
+    # With the caches cold it traced 0.48 MB, with one tuple object per edge
+    # 2.8 MB, with a map of every label, twins included, 1.16 MB, and with
+    # 4-byte points 0.79 MB
     q = 59
     ctx = field_for(q)
+    factorisation._base_points(ctx)
+    base_map(ctx).permutation()
     tracemalloc.start()
     try:
         fact = build_factorisation(ctx)

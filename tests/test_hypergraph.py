@@ -16,6 +16,7 @@ from trifactor.hypergraph import (
     find_hamilton_berge_cycle,
     find_isomorphism,
     is_connected,
+    overlaps_by_traces,
     pair_overlap,
     pair_overlap_algebraic,
     union_hypergraph,
@@ -164,6 +165,7 @@ def test_overlap_algebraic_matches_combinatorial_exhaustive(p, l):
             comb = pair_overlap(base, build_one_factor(ctx, a, b))
             assert alg.count == comb.count, (p, l, a, b)
             assert alg.repeated_pairs == comb.repeated_pairs, (p, l, a, b)
+            assert overlaps_by_traces(ctx, [(a, b)]) == [alg.count], (p, l, a, b)
 
 
 def replay(h, mapping):

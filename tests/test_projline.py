@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -160,6 +161,22 @@ def test_orbit_map_gf5_example_order_and_fixed_points():
     m = orbit_map(ctx, 2, 1)
     assert m.compose(m).compose(m) == Mobius(ctx, 1, 0, 0, 1)
     assert all(m(x) != x for x in range(6))
+
+
+@pytest.mark.parametrize("p,l", [(2, 1), (5, 1), (2, 3), (11, 1)])
+def test_fixed_points_are_the_points_each_map_fixes(p, l):
+    # every element of PGL(2, q), each once in canonical form
+    ctx = field(p, l)
+    maps = set()
+    for a, b, c, d in itertools.product(range(ctx.q), repeat=4):
+        if ctx.mul(a, d) != ctx.mul(b, c):
+            maps.add(Mobius(ctx, a, b, c, d))
+    assert len(maps) == (ctx.q + 1) * ctx.q * (ctx.q - 1)
+    ident = Mobius(ctx, 1, 0, 0, 1)
+    for m in maps - {ident}:
+        assert m.fixed_points() == {x for x in range(ctx.q + 1) if m(x) == x}, m
+    with pytest.raises(UsageError):
+        ident.fixed_points()
 
 
 def test_orbit_map_determinant_is_square():
